@@ -108,12 +108,13 @@ def prototypes_from_encoded(
         raise ValueError("feature/label counts differ")
     if encoded.shape[0] == 0:
         raise ValueError("training data is empty")
+    if dense.min() < 0 or dense.max() >= n_classes:
+        raise ValueError(f"dense labels must lie in range({n_classes})")
 
     sums_dtype = np.complex128 if np.iscomplexobj(encoded) else np.float64
-    sums = np.zeros((n_classes, encoded.shape[1]), dtype=sums_dtype)
-    counts = np.zeros(n_classes, dtype=np.int64)
-    np.add.at(sums, dense, encoded.astype(sums_dtype, copy=False))
-    np.add.at(counts, dense, 1)
+    one_hot = np.arange(n_classes)[:, None] == dense
+    sums = one_hot.astype(sums_dtype) @ encoded.astype(sums_dtype, copy=False)
+    counts = one_hot.sum(axis=1)
     if np.any(counts == 0):
         raise ValueError("every class needs at least one training sample")
 

@@ -66,6 +66,12 @@ def _spawn_seeds(seed, n: int):
     return np.random.SeedSequence(seed).spawn(n)
 
 
+def _require_finite(X: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{what} contains NaN or infinite values")
+    return X
+
+
 class ItemMemory:
     """Fixed random bipolar codebook: one vector per item index."""
 
@@ -145,12 +151,15 @@ class QuantizationGrid:
 
     @classmethod
     def fit(cls, X: np.ndarray, levels: int) -> "QuantizationGrid":
-        X = np.asarray(X, dtype=np.float64)
+        X = _require_finite(np.asarray(X, dtype=np.float64), "quantizer training features")
         return cls(mins=X.min(axis=0), maxs=X.max(axis=0), levels=levels)
 
     def quantize(self, X: np.ndarray) -> np.ndarray:
-        """Map reals to integer levels in {0, ..., levels-1}, clipping overflow."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        """Map reals to integer levels in {0, ..., levels-1}, clipping overflow.
+
+        Non-finite values raise: NaN would otherwise land silently on level 0.
+        """
+        X = _require_finite(np.atleast_2d(np.asarray(X, dtype=np.float64)), "quantizer input")
         span = self.maxs - self.mins
         safe = np.where(span > 0.0, span, 1.0)
         idx = np.floor((X - self.mins) / safe * self.levels).astype(np.int64)
@@ -181,10 +190,11 @@ class FpeProjection:
         self.seed = seed
 
     def phases(self, X: np.ndarray) -> np.ndarray:
-        """Phases beta * W x for one sample (p,) or a batch (n, p)."""
+        """Phases beta * W x for one sample (p,) or a batch (n, p); input must be finite."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1] != self.p:
             raise ValueError(f"expected {self.p} features, got {X.shape[-1]}")
+        _require_finite(X, "projection input")
         return np.mod(self.beta * (X @ self.W.T), TWO_PI)
 
 
@@ -391,13 +401,24 @@ class QuantizedFeatureEncoder:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.p:
             raise ValueError(f"expected {self.p} features, got {X.shape[1]}")
-        levels = grid.quantize(X)
-        acc = np.zeros((X.shape[0], self.d), dtype=np.float32)
-        ids = self.im.vectors.astype(np.float32)
+        q = grid.quantize(X)
+        # Telescoping L_q = L_0 + sum_{v=1..q} (L_v - L_{v-1}) turns
+        # sum_j ID_j * L_{q_j} into (sum_j ID_j) * L_0 plus, per level v, one
+        # product (q >= v) @ ID restricted to the columns where L_v differs
+        # from L_{v-1}; those sets are disjoint slices for LevelMemory, so all
+        # levels together cost one (n, p) @ (p, <= d/2) product. Every partial
+        # sum is an integer of magnitude <= 2p, exact in float32, so the
+        # result equals the direct sum bit for bit. The accumulator is kept
+        # (d, n) so each level updates whole rows rather than scattered columns.
+        ids = self.im.vectors
         lvls = self.lm.vectors.astype(np.float32)
-        for j in range(self.p):
-            acc += ids[j] * lvls[levels[:, j]]
-        return np.where(acc >= 0, 1, -1).astype(np.int8)
+        acc = np.empty((self.d, X.shape[0]), dtype=np.float32)
+        acc[:] = (ids.sum(axis=0, dtype=np.float32) * lvls[0])[:, None]
+        for v, step in enumerate(np.diff(lvls, axis=0), start=1):
+            cols = np.flatnonzero(step)
+            reached = (q >= v).astype(np.float32)
+            acc[cols] += (ids[:, cols].T.astype(np.float32) @ reached.T) * step[cols, None]
+        return np.ascontiguousarray(np.where(acc.T >= 0, np.int8(1), np.int8(-1)))
 
     def state(self) -> dict:
         grid = self.grid

@@ -50,6 +50,30 @@ class TestTraining:
         with pytest.raises(ValueError):
             prototypes_from_encoded(np.ones((2, 4)), np.array([0, 2]), 3, "centroid")
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_outside_class_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="range"):
+            prototypes_from_encoded(np.ones((4, 4)), np.array([0, 1, 2, bad]), 3, "centroid")
+
+    def test_sums_match_row_by_row_accumulation(self):
+        rng = np.random.default_rng(4)
+        labels = np.concatenate([np.arange(5), rng.integers(0, 5, size=45)])
+        bipolar = rng.choice(np.array([-1, 1], dtype=np.int8), size=(50, 33))
+        phases = rng.uniform(0.0, 2 * np.pi, size=(50, 33))
+        for encoded, style in ((bipolar, "centroid"), (np.exp(1j * phases), "raw_complex")):
+            want = np.zeros((5, 33), dtype=np.result_type(encoded.dtype, np.float64))
+            counts = np.zeros(5)
+            for row, y in zip(encoded, labels):
+                want[y] += row
+                counts[y] += 1
+            if style == "centroid":
+                want = want / counts[:, None]
+            got = prototypes_from_encoded(encoded, labels, 5, style)
+            if style == "centroid":  # integer sums: exact
+                np.testing.assert_array_equal(got, want)
+            else:  # complex sums in another order: within rounding
+                np.testing.assert_allclose(got, want, rtol=0, atol=50 * 50 * np.finfo(float).eps)
+
     def test_incompatible_style_rejected(self):
         enc = IdentityEncoder(p=2)
         with pytest.raises(ValueError):

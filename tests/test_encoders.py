@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conformal_hdc.encoders import (
     BinaryImageEncoder,
@@ -173,13 +175,68 @@ class TestQuantizedEncoding:
         with pytest.raises(RuntimeError):
             enc.encode(np.zeros(4))
 
-    def test_batch_matches_single(self):
-        enc = QuantizedFeatureEncoder(p=6, d=64, levels=5, seed=8)
-        X = np.random.default_rng(4).uniform(size=(10, 6))
-        enc.fit(X)
+    # the former fixed case, then levels=2, odd d, d < 2*(levels-1) (LevelMemory
+    # flips nothing) and p = d = 1
+    @example(p=6, d=64, levels=5, seed=8)
+    @example(p=3, d=17, levels=2, seed=1)
+    @example(p=5, d=63, levels=21, seed=2)
+    @example(p=4, d=5, levels=8, seed=3)
+    @example(p=1, d=1, levels=2, seed=4)
+    @given(
+        p=st.integers(1, 12),
+        d=st.integers(1, 90),
+        levels=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_single(self, p, d, levels, seed):
+        rng = np.random.default_rng(seed)
+        train = rng.uniform(-2.0, 3.0, size=(8, p))
+        train[:, 0] = 1.5  # a constant feature
+        enc = QuantizedFeatureEncoder(p=p, d=d, levels=levels, seed=seed).fit(train)
+        span = enc.grid.maxs - enc.grid.mins
+        edges = enc.grid.mins + np.arange(levels + 1)[:, None] * span / levels
+        X = np.concatenate([
+            train,
+            edges,  # exactly on every bin edge, both grid ends included
+            [enc.grid.mins - 1.0, enc.grid.maxs + 1.0],  # outside the grid
+            rng.uniform(-4.0, 5.0, size=(6, p)),
+        ])
         batch = enc.encode_batch(X)
-        for i in range(10):
+        np.testing.assert_array_equal(batch, _quantized_sign_reference(enc, X))
+        for i in range(X.shape[0]):
             np.testing.assert_array_equal(batch[i], enc.encode(X[i]).elements)
+
+    def test_batch_exact_for_any_level_table(self):
+        # flip sets of different steps overlap here, unlike LevelMemory's
+        enc = QuantizedFeatureEncoder(p=9, d=40, levels=6, seed=5)
+        rng = np.random.default_rng(5)
+        enc.lm.vectors = rng.choice(np.array([-1, 1], dtype=np.int8), size=(6, 40))
+        X = rng.normal(size=(30, 9))
+        enc.fit(X)
+        np.testing.assert_array_equal(enc.encode_batch(X), _quantized_sign_reference(enc, X))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.random.default_rng(6).uniform(size=(5, 4))
+        enc = QuantizedFeatureEncoder(p=4, d=32, levels=5, seed=9).fit(X)
+        row = X[0].copy()
+        row[2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            enc.encode(row)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            enc.encode_batch(np.stack([X[1], row]))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            QuantizedFeatureEncoder(p=4, d=32, levels=5, seed=9).fit(np.vstack([X, row]))
+
+
+def _quantized_sign_reference(enc, X):
+    """sign(sum_j ID_j * L_{q_j}) per row, summed directly in int64, tie -> +1."""
+    q = enc.grid.quantize(X)
+    ids = enc.im.vectors.astype(np.int64)
+    lvls = enc.lm.vectors.astype(np.int64)
+    total = (ids[None, :, :] * lvls[q]).sum(axis=1)
+    return np.where(total >= 0, 1, -1).astype(np.int8)
 
 
 class TestTrigramEncoding:
@@ -285,6 +342,15 @@ class TestTemporalEncoding:
         enc = TemporalFpeEncoder(p=3, d=16, t_max=2, seed=24)
         with pytest.raises(ValueError):
             enc.encode(np.zeros((3, 5)))
+
+    def test_non_finite_counts_rejected(self):
+        enc = TemporalFpeEncoder(p=4, d=32, t_max=6, seed=26)
+        X = np.random.default_rng(11).poisson(3.0, size=(3, 4, 6)).astype(np.float64)
+        X[1, 2, 4] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            enc.encode(X[1])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            enc.encode_batch(X)
 
     def test_batch_matches_single(self):
         enc = TemporalFpeEncoder(p=4, d=32, t_max=6, seed=25)

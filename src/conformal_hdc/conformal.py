@@ -1,11 +1,14 @@
 """Nonconformity scores, calibration quantiles, and prediction sets.
 
-Scores take a length-K similarity profile ``delta`` (all entries >= 0) and
-a candidate label ``y``; smaller values mean the input conforms better:
+Scores take a length-K similarity profile ``delta`` (all entries finite
+and >= 0) and a candidate label ``y``; smaller values mean the input
+conforms better:
 
 * ``similarity``: ``-delta_y``;
-* ``ratio``: ``-delta_y / sum(delta)``;
-* ``discount``: ``-(delta_y / sum(delta)) * delta_y``;
+* ``ratio``: ``-delta_y / sum(delta)``, and 0 (its supremum) when
+  ``sum(delta)`` is 0;
+* ``discount``: ``-(delta_y / sum(delta)) * delta_y``, likewise 0 on an
+  all-zero profile;
 * ``penalized``: ``-delta_y + lam * sum_{k != y} delta_k``;
 * ``inverse_quantile``: softmax the profile, accumulate probabilities from
   the largest down through the candidate's rank, subtract ``u`` times the
@@ -64,12 +67,12 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _check_profiles(profiles: np.ndarray, kind: str) -> np.ndarray:
+def _check_profiles(profiles: np.ndarray) -> np.ndarray:
     profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
+    if not np.all(np.isfinite(profiles)):
+        raise ValueError("similarity profiles contain NaN or infinite values")
     if np.any(profiles < 0.0):
         raise ValueError("similarity profiles must be nonnegative")
-    if kind in ("ratio", "discount") and np.any(profiles.sum(axis=1) == 0.0):
-        raise ValueError(f"all-zero profile is not scoreable with kind={kind!r}")
     return profiles
 
 
@@ -88,13 +91,15 @@ def score_matrix(
     """
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
-    profiles = _check_profiles(profiles, kind)
+    profiles = _check_profiles(profiles)
     if kind == "similarity":
         return -profiles
-    if kind == "ratio":
-        return -profiles / profiles.sum(axis=1, keepdims=True)
-    if kind == "discount":
-        return -(profiles / profiles.sum(axis=1, keepdims=True)) * profiles
+    if kind in ("ratio", "discount"):
+        # An all-zero profile conforms to no class: its shares are 0, the
+        # supremum of both scores, so it gets the empty set.
+        totals = profiles.sum(axis=1, keepdims=True)
+        shares = profiles / np.where(totals > 0.0, totals, 1.0)
+        return -shares if kind == "ratio" else -shares * profiles
     if kind == "penalized":
         if lam < 0.0:
             raise ValueError(f"penalized score needs lam >= 0, got {lam}")

@@ -24,7 +24,6 @@ from typing import Iterable
 import numpy as np
 
 from .hypervectors import (
-    TWO_PI,
     BipolarHypervector,
     ComplexAccumulator,
     ComplexHypervector,
@@ -190,12 +189,16 @@ class FpeProjection:
         self.seed = seed
 
     def phases(self, X: np.ndarray) -> np.ndarray:
-        """Phases beta * W x for one sample (p,) or a batch (n, p); input must be finite."""
+        """Phases beta * W x for one sample (p,) or a batch (n, p); input must be finite.
+
+        The phases are not wrapped into [0, 2*pi): every use of them is
+        2*pi-periodic, and ``ComplexHypervector`` wraps on construction.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1] != self.p:
             raise ValueError(f"expected {self.p} features, got {X.shape[-1]}")
         _require_finite(X, "projection input")
-        return np.mod(self.beta * (X @ self.W.T), TWO_PI)
+        return self.beta * (X @ self.W.T)
 
 
 class PositionBank:
@@ -268,11 +271,11 @@ def encode_trigram_text(text: str, im: ItemMemory) -> BipolarHypervector:
     idx = _vocabulary_indices(text)
     if idx.shape[0] < 3:
         return sign_binarize(RealAccumulator(np.zeros(im.d)))
-    rows = im.vectors[idx]
-    r1 = np.roll(rows, 1, axis=1)
-    r2 = np.roll(rows, 2, axis=1)
-    grams = rows[:-2] * r1[1:-1] * r2[2:]
-    return sign_binarize(RealAccumulator(grams.sum(axis=0, dtype=np.float64)))
+    # Rotating the 27-row codebook costs less than rotating the gathered rows;
+    # the +-1 products sum exactly in int32.
+    sv = im.vectors
+    grams = sv[idx[:-2]] * np.roll(sv, 1, axis=1)[idx[1:-1]] * np.roll(sv, 2, axis=1)[idx[2:]]
+    return sign_binarize(RealAccumulator(grams.sum(axis=0, dtype=np.int32)))
 
 
 def encode_fpe(x, proj: FpeProjection) -> ComplexHypervector:
@@ -281,6 +284,45 @@ def encode_fpe(x, proj: FpeProjection) -> ComplexHypervector:
     if x.ndim != 1:
         raise ValueError("encode_fpe takes a single feature vector")
     return ComplexHypervector(proj.phases(x))
+
+
+def _fpe_superpose(X: np.ndarray, proj: FpeProjection, bank: PositionBank) -> np.ndarray:
+    """sum_j exp(i (beta W X[r, :, j] + rho^j P)) for every row r of an (n, p, t) batch.
+
+    Rows are walked in blocks of about 1 MiB of phases, so the temporaries
+    stay that size whatever n is; each bin's phases are formed in one reused
+    buffer and their cosine and sine are added into the output's real and
+    imaginary parts, without a complex temporary. Every product has the same
+    number of rows, at least two: numpy sends a one-row product to gemv, whose
+    sums differ in the last bits from gemm's, and a single input would then
+    encode unlike the same row in a batch.
+    """
+    n, p, t = X.shape
+    if t == 0:
+        raise ValueError("trajectory must contain at least one time bin")
+    if t > bank.t_max:
+        raise ValueError(f"trajectory length {t} exceeds t_max {bank.t_max}")
+    _require_finite(X, "projection input")
+    d = proj.d
+    rows = max(1, 2**17 // d)
+    positions = [bank.phases_for_bin(j) for j in range(1, t + 1)]
+    out = np.zeros((n, d), dtype=np.complex128)
+    x_buf = np.zeros((t, max(rows, 2), p))  # rows past a short block are stale and unused
+    phase_buf = np.empty((max(rows, 2), d))
+    trig_buf = np.empty((rows, d))
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        x_buf[:, :m] = X[start : start + m].transpose(2, 0, 1)
+        block = out[start : start + m]
+        real, imag = block.real, block.imag
+        phase, trig = phase_buf[:m], trig_buf[:m]
+        for j in range(t):
+            np.matmul(x_buf[j], proj.W.T, out=phase_buf)
+            phase *= proj.beta
+            phase += positions[j]
+            real += np.cos(phase, out=trig)
+            imag += np.sin(phase, out=trig)
+    return out
 
 
 def encode_temporal_trajectory(
@@ -295,16 +337,7 @@ def encode_temporal_trajectory(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != proj.p:
         raise ValueError(f"expected a ({proj.p}, t) matrix, got shape {X.shape}")
-    t = X.shape[1]
-    if t == 0:
-        raise ValueError("trajectory must contain at least one time bin")
-    if t > bank.t_max:
-        raise ValueError(f"trajectory length {t} exceeds t_max {bank.t_max}")
-    feature_phases = proj.phases(X.T)  # (t, d)
-    total = np.zeros(proj.d, dtype=np.complex128)
-    for j in range(1, t + 1):
-        total += np.exp(1j * (feature_phases[j - 1] + bank.phases_for_bin(j)))
-    return ComplexAccumulator(total)
+    return ComplexAccumulator(_fpe_superpose(X[None], proj, bank)[0])
 
 
 def encode_identity(x) -> RealAccumulator:
@@ -480,16 +513,7 @@ class TemporalFpeEncoder:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 3 or X.shape[1] != self.p:
             raise ValueError(f"expected (n, {self.p}, t) trajectories, got shape {X.shape}")
-        t = X.shape[2]
-        if t == 0:
-            raise ValueError("trajectories must contain at least one time bin")
-        if t > self.t_max:
-            raise ValueError(f"trajectory length {t} exceeds t_max {self.t_max}")
-        out = np.zeros((X.shape[0], self.d), dtype=np.complex128)
-        for j in range(1, t + 1):
-            phases = self.proj.phases(X[:, :, j - 1]) + self.bank.phases_for_bin(j)
-            out += np.exp(1j * phases)
-        return out
+        return _fpe_superpose(X, self.proj, self.bank)
 
     def state(self) -> dict:
         return {

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conformal_hdc.classifier import train_prototypes
 from conformal_hdc.conformal import (
+    SCORE_KINDS,
     ConditionalCalibrator,
     MarginalCalibrator,
     calibrate_conditional,
@@ -26,6 +28,7 @@ from conformal_hdc.conformal import (
     sets_from_scores,
     softmax,
 )
+from conformal_hdc.encoders import IdentityEncoder
 
 PROFILE = np.array([0.8, 0.1, 0.1])
 
@@ -62,10 +65,27 @@ class TestScores:
         # entries in [0, 1] keep |discount| <= |ratio|, so discount >= ratio
         assert discount >= ratio - 1e-12
 
-    def test_all_zero_profile_rejected_for_ratio_kinds(self):
+    def test_all_zero_profile_scores_zero_for_ratio_kinds(self):
+        # 0 is the supremum of both scores, so the row abstains under any
+        # threshold below it, and rows with a nonzero sum keep their scores
+        calib = MarginalCalibrator(q_hat=-0.05, alpha=0.1, n_cal=10)
         for kind in ("ratio", "discount"):
-            with pytest.raises(ValueError):
-                nonconformity([0.0, 0.0], 0, kind)
+            scores = score_matrix(np.array([[0.0, 0.0, 0.0], PROFILE]), kind)
+            assert scores[0].tolist() == [0.0, 0.0, 0.0]
+            np.testing.assert_array_equal(scores[1], score_matrix(PROFILE, kind)[0])
+            assert nonconformity([0.0, 0.0], 0, kind) == 0.0
+            ps = predict_set_marginal(_ProfileModel([0.0, 0.0, 0.0]), calib, None, kind)
+            assert len(ps) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_profile_rejected(self, bad):
+        profiles = np.array([[0.5, 0.2], [bad, 0.1]])
+        for kind in SCORE_KINDS:
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                score_matrix(profiles, kind, u=np.full(2, 0.5))
+        # the calibration path: a NaN score would shift the order statistic
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            calibration_scores(profiles, [0, 1], "similarity")
 
     def test_negative_profile_rejected(self):
         with pytest.raises(ValueError):
@@ -238,6 +258,15 @@ class TestPredictionSets:
         calib = MarginalCalibrator(q_hat=-0.05, alpha=0.1, n_cal=10)
         ps = predict_set_marginal(model, calib, None, "discount")
         assert np.all(ps.scores[ps.labels] <= calib.q_hat)
+
+    def test_nan_query_raises_instead_of_abstaining(self):
+        # the identity encoder passes NaN through, so the profile check is what
+        # keeps an all-NaN profile from getting the empty set (an abstention)
+        X = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+        model = train_prototypes(X, [0, 1, 2], IdentityEncoder(2), "centroid", "inverse_euclidean")
+        calib = MarginalCalibrator(q_hat=-0.1, alpha=0.1, n_cal=10)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            predict_set_marginal(model, calib, np.array([np.nan, 0.0]), "similarity")
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(2)

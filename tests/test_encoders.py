@@ -1,5 +1,7 @@
 """Encoders: fixed-point examples, Monte-Carlo sanity, and determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -230,6 +232,23 @@ class TestQuantizedEncoding:
             QuantizedFeatureEncoder(p=4, d=32, levels=5, seed=9).fit(np.vstack([X, row]))
 
 
+def _fpe_reference(enc, X):
+    """Per-bin sum of exp(i (beta x W^T + rho^j P)) and its float64 rounding bound.
+
+    Each bin's phase is a length-p dot product plus two additions; the bound
+    adds (p + 8) eps (beta |x| |W|^T + 4 pi) per bin, as the benchmark does.
+    """
+    W, beta, P = enc.proj.W, enc.proj.beta, enc.bank.base.phases
+    n, p, t = X.shape
+    want = np.zeros((n, enc.d), dtype=np.complex128)
+    bound = np.zeros((n, enc.d))
+    for j in range(1, t + 1):
+        x = X[:, :, j - 1]
+        want += np.exp(1j * (beta * (x @ W.T) + np.roll(P, j)))
+        bound += (p + 8) * np.finfo(np.float64).eps * (beta * (np.abs(x) @ np.abs(W).T) + 4.0 * np.pi)
+    return want, bound
+
+
 def _quantized_sign_reference(enc, X):
     """sign(sum_j ID_j * L_{q_j}) per row, summed directly in int64, tie -> +1."""
     q = enc.grid.quantize(X)
@@ -352,12 +371,45 @@ class TestTemporalEncoding:
         with pytest.raises(ValueError, match="NaN or infinite"):
             enc.encode_batch(X)
 
-    def test_batch_matches_single(self):
-        enc = TemporalFpeEncoder(p=4, d=32, t_max=6, seed=25)
-        X = np.random.default_rng(10).normal(size=(5, 4, 6))
+    # the former fixed case; then, with the encoder's blocks of
+    # max(1, 2**17 // d) rows: n = 1, n less than one block (t = 1), n not a
+    # multiple of the block (t = t_max), and d > 2**17 (one row per block)
+    @example(n=5, p=4, t=6, t_spare=0, d=32, seed=25)
+    @example(n=1, p=3, t=2, t_spare=1, d=40, seed=1)
+    @example(n=7, p=2, t=1, t_spare=2, d=10_000, seed=2)
+    @example(n=27, p=5, t=3, t_spare=0, d=10_000, seed=3)
+    @example(n=3, p=2, t=2, t_spare=0, d=2**17 + 3, seed=4)
+    @given(
+        n=st.integers(1, 30),
+        p=st.integers(1, 8),
+        t=st.integers(1, 5),
+        t_spare=st.integers(0, 2),
+        d=st.integers(1, 30_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batch_matches_single(self, n, p, t, t_spare, d, seed):
+        enc = TemporalFpeEncoder(p=p, d=d, t_max=t + t_spare, beta=0.3, seed=seed)
+        X = np.random.default_rng(seed).normal(0.0, 3.0, size=(n, p, t))
         batch = enc.encode_batch(X)
-        for i in range(5):
-            np.testing.assert_allclose(batch[i], enc.encode(X[i]).values, atol=1e-12)
+        want, bound = _fpe_reference(enc, X)
+        assert np.all(np.abs(batch - want) <= bound)
+        for i in range(n):
+            assert np.all(np.abs(batch[i] - enc.encode(X[i]).values) <= bound[i])
+
+    def test_batch_memory_independent_of_rows(self):
+        # rows are encoded in fixed-size blocks, so beyond the output itself
+        # the peak does not grow with n (one float64 n x d temporary would add
+        # 1.5 MiB at n=48 and 6 MiB at 4n)
+        enc = TemporalFpeEncoder(p=5, d=4096, t_max=3, seed=27)
+        X = np.random.default_rng(12).poisson(3.0, size=(4 * 48, 5, 3)).astype(np.float64)
+        extra = []
+        for n in (48, 4 * 48):
+            tracemalloc.start()
+            out = enc.encode_batch(X[:n])
+            extra.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            tracemalloc.stop()
+        assert abs(extra[1] - extra[0]) <= 64 * 1024
 
 
 class TestIdentityEncoding:

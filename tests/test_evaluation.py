@@ -180,6 +180,14 @@ class TestRunExperiment:
         assert res.methods[0].accuracy > 0.5  # classes are separable by design
         assert res.label_names == [f"odor_{c}" for c in range(4)]
 
+    def test_spike_surrogate_small_d_completes(self):
+        # at d=64, 4 of these seeds draw trials whose complex-cosine profile is
+        # all zero; such a trial abstains instead of ending the run
+        for seed in range(5):
+            cfg = ExperimentConfig(dataset="spike_surrogate", d=64, repetitions=1, seed=seed)
+            res = run_experiment(cfg)
+            assert all(0.0 <= m.coverage <= 1.0 for m in res.methods)
+
     def test_real_dataset_requires_bundle(self):
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(dataset="mnist", repetitions=1))

@@ -52,6 +52,12 @@ class TrainedModel:
     labels: np.ndarray  # original label value for each dense class index
 
     def __post_init__(self) -> None:
+        shape = self.prototypes.shape
+        if len(shape) != 2 or shape[1] != self.encoder.d or shape[0] != len(self.labels):
+            raise ValueError(
+                f"prototypes must be ({len(self.labels)}, {self.encoder.d}) for "
+                f"{len(self.labels)} labels and d={self.encoder.d}, got shape {shape}"
+            )
         self.prototypes.setflags(write=False)
         self.labels.setflags(write=False)
 

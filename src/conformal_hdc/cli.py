@@ -116,8 +116,12 @@ def build_config(options: dict) -> ExperimentConfig:
         kwargs["sigma3"] = _parse_float("sigma3", options["sigma3"])
     if "n_per_class" in options:
         parts = [p.strip() for p in options["n_per_class"].split(",")]
+        if len(parts) not in (1, 3):
+            raise ValueError(
+                f"n_per_class must be one count or three comma-separated counts, got {options['n_per_class']!r}"
+            )
         counts = tuple(_parse_int("n_per_class", p) for p in parts)
-        kwargs["n_per_class"] = counts if len(counts) == 3 else (counts[0],) * 3
+        kwargs["n_per_class"] = counts if len(counts) == 3 else counts * 3
     if "n_ood" in options:
         kwargs["n_ood"] = _parse_int("n_ood", options["n_ood"])
     for key in (

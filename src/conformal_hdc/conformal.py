@@ -228,13 +228,21 @@ def _select_kth_smallest(scores: np.ndarray, k: int) -> float:
     return float(np.partition(scores, k - 1)[k - 1])
 
 
+def _finite_scores(cal_scores) -> np.ndarray:
+    # a NaN would sort past every score and shift the order statistic
+    scores = np.asarray(cal_scores, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("calibration scores contain NaN or infinite values")
+    return scores
+
+
 def calibrate_marginal(cal_scores, alpha: float) -> MarginalCalibrator:
     """Threshold at the ceil((1-alpha)(1+n))-th smallest calibration score.
 
     Duplicate scores count with multiplicity; when the index exceeds ``n``
     the threshold is +inf (every label will be included).
     """
-    scores = np.asarray(cal_scores, dtype=np.float64).reshape(-1)
+    scores = _finite_scores(cal_scores)
     if scores.shape[0] == 0:
         raise ValueError("calibration set must be nonempty")
     k = quantile_index(scores.shape[0], alpha)
@@ -246,10 +254,12 @@ def calibrate_conditional(cal_scores, cal_labels, alpha: float, n_classes: int) 
 
     Labels absent from the calibration set get a +inf threshold.
     """
-    scores = np.asarray(cal_scores, dtype=np.float64).reshape(-1)
+    scores = _finite_scores(cal_scores)
     labels = np.asarray(cal_labels, dtype=np.int64).reshape(-1)
     if scores.shape[0] != labels.shape[0]:
         raise ValueError("scores and labels must have equal length")
+    if np.any((labels < 0) | (labels >= n_classes)):
+        raise ValueError(f"calibration labels must lie in range({n_classes})")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     thresholds = np.full(n_classes, np.inf)

@@ -58,6 +58,38 @@ TEXT_VOCABULARY = "abcdefghijklmnopqrstuvwxyz "
 
 MAX_TEXT_LENGTH = 128
 
+#: Most +-1 terms an int8 sum can hold exactly.
+_INT8_CHUNK = 127
+
+#: The FPE kernel's table of unit phasors exp(2 pi i k / N) has N = 4096 entries (64 KiB).
+_PHASOR_STEPS = 4096
+_STEP = 2.0 * np.pi / _PHASOR_STEPS
+#: 2 pi / N as hi + lo: hi keeps 21 significant bits, so k * hi is exact for
+#: |k| < 2**31; lo carries the rest, including pi's own float64 rounding.
+_STEP_HI = float(np.ldexp(np.floor(np.ldexp(_STEP, 30)), -30))
+_STEP_LO = (_STEP - _STEP_HI) + 1.2246467991473532e-16 * 2.0 / _PHASOR_STEPS
+#: Phases at or beyond this magnitude have |k| >= 2**31 and are rejected.
+_PHASE_LIMIT = 2.0**31 * _STEP
+
+
+def _unit_phasor_table() -> np.ndarray:
+    # exp(2 pi i k / N) = i**q exp(i m step) with |m| <= N/8, so libm only sees
+    # angles below pi/4, each formed from m * hi (exact) plus m * lo.
+    k = np.arange(_PHASOR_STEPS)
+    quarter = _PHASOR_STEPS // 4
+    m = (k + quarter // 2) % quarter - quarter // 2
+    q = (k - m) // quarter % 4
+    angle = m * _STEP_HI + m * _STEP_LO
+    c, s = np.cos(angle), np.sin(angle)
+    table = np.empty(_PHASOR_STEPS, dtype=np.complex128)
+    table.real = np.choose(q, [c, -s, -c, s])
+    table.imag = np.choose(q, [s, c, -s, -c])
+    table.setflags(write=False)
+    return table
+
+
+_UNIT_PHASORS = _unit_phasor_table()
+
 
 def _spawn_seeds(seed, n: int):
     if isinstance(seed, np.random.SeedSequence):
@@ -269,13 +301,15 @@ def encode_trigram_text(text: str, im: ItemMemory) -> BipolarHypervector:
     if im.n_items != len(TEXT_VOCABULARY):
         raise ValueError(f"text item memory needs {len(TEXT_VOCABULARY)} symbols")
     idx = _vocabulary_indices(text)
-    if idx.shape[0] < 3:
-        return sign_binarize(RealAccumulator(np.zeros(im.d)))
-    # Rotating the 27-row codebook costs less than rotating the gathered rows;
-    # the +-1 products sum exactly in int32.
+    # Rotating the 27-row codebook costs less than rotating the gathered rows.
     sv = im.vectors
     grams = sv[idx[:-2]] * np.roll(sv, 1, axis=1)[idx[1:-1]] * np.roll(sv, 2, axis=1)[idx[2:]]
-    return sign_binarize(RealAccumulator(grams.sum(axis=0, dtype=np.int32)))
+    # The text is not truncated here: the +-1 products sum exactly in int8
+    # over chunks of at most 127 trigrams, and the chunk sums in int32.
+    total = np.zeros(im.d, dtype=np.int32)
+    for start in range(0, grams.shape[0], _INT8_CHUNK):
+        total += grams[start : start + _INT8_CHUNK].sum(axis=0, dtype=np.int8)
+    return BipolarHypervector(np.where(total >= 0, np.int8(1), np.int8(-1)))
 
 
 def encode_fpe(x, proj: FpeProjection) -> ComplexHypervector:
@@ -286,16 +320,59 @@ def encode_fpe(x, proj: FpeProjection) -> ComplexHypervector:
     return ComplexHypervector(proj.phases(x))
 
 
+def _add_unit_phasors(
+    theta: np.ndarray, out: np.ndarray, work: np.ndarray, index: np.ndarray, terms: np.ndarray
+) -> None:
+    """Add exp(i theta) into the complex ``out``, element by element.
+
+    exp(i theta) = U[k mod N] exp(i r) with k = rint(theta N / 2 pi), U the
+    table of N unit phasors and |r| <= pi / N, where exp(i r) =
+    (1 - r^2/2 + r^4/24) + i (r - r^3/6) drops terms below 2.3e-18; r is
+    reduced as (theta - k hi) - k lo. Each phasor is within about 1 eps of
+    exact (libm's cos and sin: 0.25 eps, half an ulp). Raises ValueError when
+    some |theta| reaches _PHASE_LIMIT, beyond which the reduction is not exact.
+
+    Buffers of theta's shape, all overwritten along with ``theta``: ``work``
+    holds three float64 arrays, ``index`` is intp and ``terms`` holds two
+    complex128 arrays.
+    """
+    k, c, s = work
+    table_term, poly_term = terms
+    np.multiply(theta, 1.0 / _STEP, out=k)
+    np.rint(k, out=k)
+    if not (k.max() < 2.0**31 and k.min() > -(2.0**31)):
+        raise ValueError(f"FPE phase magnitude reaches the limit {_PHASE_LIMIT:.6g} rad")
+    np.copyto(index, k, casting="unsafe")
+    index &= _PHASOR_STEPS - 1
+    # index is in range, and mode="clip" skips the bounds check "raise" makes
+    np.take(_UNIT_PHASORS, index, out=table_term, mode="clip")
+    np.multiply(k, _STEP_HI, out=c)
+    theta -= c
+    np.multiply(k, _STEP_LO, out=c)
+    theta -= c
+    r, r2 = theta, k
+    np.multiply(r, r, out=r2)
+    np.multiply(r2, 1.0 / 24.0, out=c)
+    c -= 0.5
+    c *= r2
+    np.add(c, 1.0, out=poly_term.real)
+    np.multiply(r2, -1.0 / 6.0, out=s)
+    s += 1.0
+    np.multiply(s, r, out=poly_term.imag)
+    table_term *= poly_term
+    out += table_term
+
+
 def _fpe_superpose(X: np.ndarray, proj: FpeProjection, bank: PositionBank) -> np.ndarray:
     """sum_j exp(i (beta W X[r, :, j] + rho^j P)) for every row r of an (n, p, t) batch.
 
-    Rows are walked in blocks of about 1 MiB of phases, so the temporaries
-    stay that size whatever n is; each bin's phases are formed in one reused
-    buffer and their cosine and sine are added into the output's real and
-    imaginary parts, without a complex temporary. Every product has the same
-    number of rows, at least two: numpy sends a one-row product to gemv, whose
-    sums differ in the last bits from gemm's, and a single input would then
-    encode unlike the same row in a batch.
+    Rows are walked in blocks of about 512 KiB of phases, so the temporaries
+    stay a few MiB whatever n is; each bin's phases are formed in one reused
+    buffer and their unit phasors are added into the output
+    (``_add_unit_phasors``). Every product has the same number of rows, at
+    least two: numpy sends a one-row product to gemv, whose sums differ in the
+    last bits from gemm's, and a single input would then encode unlike the
+    same row in a batch.
     """
     n, p, t = X.shape
     if t == 0:
@@ -304,24 +381,24 @@ def _fpe_superpose(X: np.ndarray, proj: FpeProjection, bank: PositionBank) -> np
         raise ValueError(f"trajectory length {t} exceeds t_max {bank.t_max}")
     _require_finite(X, "projection input")
     d = proj.d
-    rows = max(1, 2**17 // d)
+    rows = max(2, 2**16 // d)
     positions = [bank.phases_for_bin(j) for j in range(1, t + 1)]
     out = np.zeros((n, d), dtype=np.complex128)
-    x_buf = np.zeros((t, max(rows, 2), p))  # rows past a short block are stale and unused
-    phase_buf = np.empty((max(rows, 2), d))
-    trig_buf = np.empty((rows, d))
+    x_buf = np.zeros((t, rows, p))  # rows past a short block are stale and unused
+    phase_buf = np.empty((rows, d))
+    work_buf = np.empty((3, rows, d))
+    index_buf = np.empty((rows, d), dtype=np.intp)
+    terms_buf = np.empty((2, rows, d), dtype=np.complex128)
     for start in range(0, n, rows):
         m = min(rows, n - start)
         x_buf[:, :m] = X[start : start + m].transpose(2, 0, 1)
         block = out[start : start + m]
-        real, imag = block.real, block.imag
-        phase, trig = phase_buf[:m], trig_buf[:m]
+        phase, work, index, terms = phase_buf[:m], work_buf[:, :m], index_buf[:m], terms_buf[:, :m]
         for j in range(t):
             np.matmul(x_buf[j], proj.W.T, out=phase_buf)
             phase *= proj.beta
             phase += positions[j]
-            real += np.cos(phase, out=trig)
-            imag += np.sin(phase, out=trig)
+            _add_unit_phasors(phase, block, work, index, terms)
     return out
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conformal_hdc.classifier import prototypes_from_encoded, train_prototypes
+from conformal_hdc.classifier import TrainedModel, prototypes_from_encoded, train_prototypes
 from conformal_hdc.encoders import BinaryImageEncoder, IdentityEncoder, TrigramTextEncoder
 from conformal_hdc.synthetic import SyntheticConfig, class_centers
 
@@ -147,6 +147,14 @@ class TestModelSurface:
         model = identity_model(feats, labels)
         assert model.similarity_profiles(feats).shape == (12, 3)
         assert model.n_classes == 3
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (3, 2, 1), (3, 4), (2, 2), (4, 2)], ids=["1d", "3d", "width", "short", "long"]
+    )
+    def test_prototype_shape_checked(self, shape):
+        model = identity_model(np.eye(3, 2), [0, 1, 2])
+        with pytest.raises(ValueError, match="prototypes must be"):
+            TrainedModel(model.encoder, np.zeros(shape), model.similarity_kind, model.style, model.labels)
 
     def test_single_sample_shape_guard(self):
         feats = np.random.default_rng(6).normal(size=(6, 2))

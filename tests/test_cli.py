@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conformal_hdc.cli import CSV_COLUMNS, main, parse_config_file
+from conformal_hdc.cli import CSV_COLUMNS, build_config, main, parse_config_file
 
 from test_datasets import write_idx_pair
 
@@ -33,6 +33,17 @@ class TestConfigFile:
         cfg.write_text("dataset synthetic\n")
         with pytest.raises(ValueError, match="line 1"):
             parse_config_file(cfg)
+
+
+class TestBuildConfig:
+    @pytest.mark.parametrize("value, want", [("5", (5, 5, 5)), ("4, 5,6", (4, 5, 6))])
+    def test_n_per_class_one_or_three_counts(self, value, want):
+        assert build_config({"n_per_class": value}).n_per_class == want
+
+    @pytest.mark.parametrize("value", ["4,5", "1,2,3,4"])
+    def test_n_per_class_other_counts_rejected(self, value):
+        with pytest.raises(ValueError, match="n_per_class"):
+            build_config({"n_per_class": value})
 
 
 class TestMain:

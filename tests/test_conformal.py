@@ -194,6 +194,22 @@ class TestCalibration:
         assert np.isinf(cond.q_hat_per_label[2])
         assert cond.counts.tolist() == [9, 0, 0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN sorts last: scores -0.9, -0.8, NaN, -0.7, ..., -0.1 at alpha=0.2
+        # once gave q_hat=-0.1 instead of the finite scores' -0.2
+        scores = [-0.9, -0.8, bad, -0.7, -0.6, -0.5, -0.4, -0.3, -0.2, -0.1]
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            calibrate_marginal(scores, 0.2)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            calibrate_conditional(scores, [0, 1] * 5, 0.2, n_classes=2)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 5, 1], [0, 1, -1, 1], [0, 1, 5, -1]])
+    def test_conditional_labels_outside_classes_rejected(self, labels):
+        # labels [0, 1, 5, -1] with n_classes=2 once dropped two of four scores
+        with pytest.raises(ValueError, match="range\\(2\\)"):
+            calibrate_conditional([0.1, 0.2, 0.3, 0.4], labels, 0.5, n_classes=2)
+
     @given(
         st.lists(st.integers(0, 30), min_size=1, max_size=60),
         st.integers(1, 99),

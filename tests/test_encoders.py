@@ -8,6 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hdc.encoders import (
+    _PHASE_LIMIT,
+    _PHASOR_STEPS,
+    TEXT_VOCABULARY,
     BinaryImageEncoder,
     FpeProjection,
     ItemMemory,
@@ -17,6 +20,7 @@ from conformal_hdc.encoders import (
     QuantizedFeatureEncoder,
     TemporalFpeEncoder,
     TrigramTextEncoder,
+    _add_unit_phasors,
     encode_fpe,
     encode_identity,
     encode_image_binary,
@@ -287,6 +291,22 @@ class TestTrigramEncoding:
             enc.encode("a1b!c").elements, enc.encode("abc").elements
         )
 
+    @pytest.mark.parametrize("length", [129, 130, 1000])
+    def test_long_text_sums_exactly(self, length):
+        # 127 and 128 trigrams straddle one int8 chunk; "a" * n repeats one
+        # trigram, so a chunk of 128 would wrap to -128 and flip signs
+        enc = TrigramTextEncoder(d=256, seed=12)
+        rng = np.random.default_rng(length)
+        texts = ["a" * length, "".join(rng.choice(list(TEXT_VOCABULARY), size=length))]
+        sv = enc.im.vectors.astype(np.int64)
+        for text in texts:
+            idx = [TEXT_VOCABULARY.index(c) for c in text]
+            total = np.zeros(enc.d, dtype=np.int64)
+            for a, b, c in zip(idx, idx[1:], idx[2:]):
+                total += sv[a] * np.roll(sv[b], 1) * np.roll(sv[c], 2)
+            want = np.where(total >= 0, 1, -1)
+            np.testing.assert_array_equal(encode_trigram_text(text, enc.im).elements, want)
+
     def test_preprocess(self):
         assert preprocess_text("Hello  World") == "hello world"
         assert len(preprocess_text("x" * 500)) == 128
@@ -320,6 +340,53 @@ class TestFpeEncoding:
         proj = FpeProjection(p=5, d=16, seed=15)
         with pytest.raises(ValueError):
             encode_fpe(np.zeros(4), proj)
+
+
+def _unit_phasors(theta, out=None):
+    """exp(i theta) from the FPE kernel's phasor step, added into ``out`` (zeros by default)."""
+    theta = np.array(theta, dtype=np.float64)
+    out = np.zeros(theta.shape, dtype=np.complex128) if out is None else out.copy()
+    work = np.empty((3,) + theta.shape)
+    terms = np.empty((2,) + theta.shape, dtype=np.complex128)
+    _add_unit_phasors(theta, out, work, np.empty(theta.shape, dtype=np.intp), terms)
+    return out
+
+
+class TestUnitPhasors:
+    STEP = 2.0 * np.pi / _PHASOR_STEPS
+
+    def test_matches_libm(self):
+        rng = np.random.default_rng(30)
+        m = np.arange(-3 * _PHASOR_STEPS, 3 * _PHASOR_STEPS)
+        sign = rng.choice([-1.0, 1.0], size=2000)
+        theta = np.concatenate([
+            (m + 0.5) * self.STEP,  # half-step boundaries, where |r| = pi / N
+            m * self.STEP,  # table entries
+            rng.uniform(-50.0, 50.0, size=5000),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-12, -1e-8, np.pi, -np.pi, 2.0 * np.pi],
+            sign * rng.uniform(1e4, 1e6, size=2000),
+            sign * _PHASE_LIMIT * (1.0 - rng.uniform(1e-9, 1e-3, size=2000)),  # near the limit
+        ])
+        got = _unit_phasors(theta)
+        eps = np.finfo(np.float64).eps
+        assert np.max(np.abs(got.real - np.cos(theta))) <= 4 * eps
+        assert np.max(np.abs(got.imag - np.sin(theta))) <= 4 * eps
+
+    def test_adds_into_output(self):
+        theta = np.random.default_rng(31).uniform(-10.0, 10.0, size=(3, 7))
+        start = np.full((3, 7), 2.0 - 1.0j)
+        np.testing.assert_allclose(_unit_phasors(theta, start), start + np.exp(1j * theta), atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [_PHASE_LIMIT, -_PHASE_LIMIT, 1e300])
+    def test_phase_beyond_limit_rejected(self, bad):
+        with pytest.raises(ValueError, match="limit"):
+            _unit_phasors([0.0, bad, 1.0])
+
+    def test_encoder_rejects_phase_beyond_limit(self):
+        enc = TemporalFpeEncoder(p=2, d=16, t_max=2, seed=32)
+        X = np.full((1, 2, 2), 1e9)
+        with pytest.raises(ValueError, match="limit"):
+            enc.encode_batch(X)
 
 
 class TestTemporalEncoding:
@@ -372,12 +439,16 @@ class TestTemporalEncoding:
             enc.encode_batch(X)
 
     # the former fixed case; then, with the encoder's blocks of
-    # max(1, 2**17 // d) rows: n = 1, n less than one block (t = 1), n not a
-    # multiple of the block (t = t_max), and d > 2**17 (one row per block)
+    # max(2, 2**16 // d) rows: n = 1, n = 2, n less than one block (t = 1),
+    # n not a multiple of the block (t = t_max; 6 rows at d = 10000, 13 at
+    # d = 5000), and d > 2**16 (two rows per block, n = 2 and n = 3)
     @example(n=5, p=4, t=6, t_spare=0, d=32, seed=25)
     @example(n=1, p=3, t=2, t_spare=1, d=40, seed=1)
-    @example(n=7, p=2, t=1, t_spare=2, d=10_000, seed=2)
+    @example(n=2, p=3, t=2, t_spare=0, d=10_000, seed=5)
+    @example(n=5, p=2, t=1, t_spare=2, d=10_000, seed=2)
     @example(n=27, p=5, t=3, t_spare=0, d=10_000, seed=3)
+    @example(n=14, p=4, t=2, t_spare=1, d=5_000, seed=6)
+    @example(n=2, p=3, t=3, t_spare=0, d=2**16 + 1, seed=7)
     @example(n=3, p=2, t=2, t_spare=0, d=2**17 + 3, seed=4)
     @given(
         n=st.integers(1, 30),

@@ -86,6 +86,20 @@ class TestModelRoundTrip:
             load_model(path)
 
 
+    @pytest.mark.parametrize("cut", ["columns", "rows"])
+    def test_prototype_shape_checked_on_load(self, tmp_path, cut):
+        X = np.random.default_rng(3).normal(size=(6, 3))
+        model = train_prototypes(X, [0, 1, 2] * 2, IdentityEncoder(p=3), "centroid", "inverse_euclidean")
+        path = tmp_path / "m.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["prototypes"] = arrays["prototypes"][:, :2] if cut == "columns" else arrays["prototypes"][:2]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="prototypes must be"):
+            load_model(path)
+
+
 class TestCalibratorRoundTrip:
     def test_marginal(self, tmp_path):
         calib = MarginalCalibrator(q_hat=-0.123456789, alpha=0.05, n_cal=400)

@@ -58,8 +58,12 @@ TEXT_VOCABULARY = "abcdefghijklmnopqrstuvwxyz "
 
 MAX_TEXT_LENGTH = 128
 
-#: Most +-1 terms an int8 sum can hold exactly.
-_INT8_CHUNK = 127
+#: Most trigrams whose set bits a uint8 count can hold.
+_UINT8_CHUNK = 255
+
+#: Vocabulary index of each ASCII code point, -1 outside the vocabulary.
+_VOCABULARY_TABLE = np.full(128, -1, dtype=np.intp)
+_VOCABULARY_TABLE[[ord(c) for c in TEXT_VOCABULARY]] = np.arange(len(TEXT_VOCABULARY))
 
 #: The FPE kernel's table of unit phasors exp(2 pi i k / N) has N = 4096 entries (64 KiB).
 _PHASOR_STEPS = 4096
@@ -287,8 +291,36 @@ def preprocess_text(text: str) -> str:
 
 
 def _vocabulary_indices(text: str) -> np.ndarray:
-    table = {c: i for i, c in enumerate(TEXT_VOCABULARY)}
-    return np.array([table[c] for c in text if c in table], dtype=np.int64)
+    # non-ASCII characters are all outside the vocabulary; encode drops them
+    codes = _VOCABULARY_TABLE[np.frombuffer(text.encode("ascii", "ignore"), dtype=np.uint8)]
+    return codes[codes >= 0]
+
+
+def _pack_rotations(vectors: np.ndarray) -> np.ndarray:
+    """Packed bits of rho^k(S) < 0 for k = 0, 1, 2: a read-only (3, 27, ceil(d / 8)) uint8 array."""
+    packed = np.packbits(np.stack([np.roll(vectors, k, axis=1) for k in range(3)]) < 0, axis=-1)
+    packed.setflags(write=False)
+    return packed
+
+
+def _trigram_code(text: str, rotations: np.ndarray, d: int) -> np.ndarray:
+    """int8 sign of sum_t S_t * rho(S_{t+1}) * rho^2(S_{t+2}) from ``_pack_rotations`` rows.
+
+    A set bit stands for -1, so binding is XOR, and n trigrams of which c set
+    a bit sum to n - 2c there: the code is +1 where 2c <= n (ties and the
+    empty bundle give +1). The text is not truncated; bits are counted
+    exactly, in uint8 over chunks of at most 255 trigrams, then in int32.
+    """
+    idx = _vocabulary_indices(text)
+    bits = rotations[0, idx[:-2]]
+    bits ^= rotations[1, idx[1:-1]]
+    bits ^= rotations[2, idx[2:]]
+    counts = np.zeros(d, dtype=np.int32)
+    for start in range(0, bits.shape[0], _UINT8_CHUNK):
+        chunk = np.unpackbits(bits[start : start + _UINT8_CHUNK], axis=1, count=d)
+        counts += chunk.sum(axis=0, dtype=np.uint8)
+    # 1 - 2 * (bool mask viewed as int8) takes a third of np.where's time
+    return 1 - 2 * (2 * counts > bits.shape[0]).view(np.int8)
 
 
 def encode_trigram_text(text: str, im: ItemMemory) -> BipolarHypervector:
@@ -296,20 +328,12 @@ def encode_trigram_text(text: str, im: ItemMemory) -> BipolarHypervector:
 
     Characters outside the vocabulary are dropped before trigrams form;
     strings with fewer than three valid symbols yield the all-(+1) vector
-    (empty bundle).
+    (empty bundle). ``im`` is packed on every call; ``TrigramTextEncoder``
+    packs its codebook once.
     """
     if im.n_items != len(TEXT_VOCABULARY):
         raise ValueError(f"text item memory needs {len(TEXT_VOCABULARY)} symbols")
-    idx = _vocabulary_indices(text)
-    # Rotating the 27-row codebook costs less than rotating the gathered rows.
-    sv = im.vectors
-    grams = sv[idx[:-2]] * np.roll(sv, 1, axis=1)[idx[1:-1]] * np.roll(sv, 2, axis=1)[idx[2:]]
-    # The text is not truncated here: the +-1 products sum exactly in int8
-    # over chunks of at most 127 trigrams, and the chunk sums in int32.
-    total = np.zeros(im.d, dtype=np.int32)
-    for start in range(0, grams.shape[0], _INT8_CHUNK):
-        total += grams[start : start + _INT8_CHUNK].sum(axis=0, dtype=np.int8)
-    return BipolarHypervector(np.where(total >= 0, np.int8(1), np.int8(-1)))
+    return BipolarHypervector(_trigram_code(text, _pack_rotations(im.vectors), im.d))
 
 
 def encode_fpe(x, proj: FpeProjection) -> ComplexHypervector:
@@ -551,14 +575,17 @@ class TrigramTextEncoder:
 
     def __init__(self, d: int, seed=None) -> None:
         self.im = ItemMemory(len(TEXT_VOCABULARY), d, seed)
+        self.rotations = _pack_rotations(self.im.vectors)
         self.d = d
         self.seed = seed
 
     def encode(self, text: str) -> BipolarHypervector:
-        return encode_trigram_text(text, self.im)
+        return BipolarHypervector(_trigram_code(text, self.rotations, self.d))
 
     def encode_batch(self, texts: Iterable[str]) -> np.ndarray:
-        rows = [encode_trigram_text(t, self.im).elements for t in texts]
+        if isinstance(texts, str):
+            raise TypeError("encode_batch takes a sequence of texts, not one string; use encode()")
+        rows = [_trigram_code(t, self.rotations, self.d) for t in texts]
         if not rows:
             raise ValueError("cannot encode an empty batch of texts")
         return np.stack(rows)

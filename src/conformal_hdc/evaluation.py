@@ -244,6 +244,15 @@ class ExperimentConfig:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.fractions is not None:
             SplitSpec(self.fractions)  # reuse its validation
+        if self.levels < 2:
+            raise ValueError(f"levels must be >= 2, got {self.levels}")
+        if not (np.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        for name in ("spike_classes", "spike_neurons", "spike_bins", "spike_per_class", "spike_ood"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.spike_rate_scale) and self.spike_rate_scale > 0.0):
+            raise ValueError(f"spike_rate_scale must be finite and > 0, got {self.spike_rate_scale}")
 
     def resolved_fractions(self) -> Tuple[float, float, float]:
         return self.fractions if self.fractions is not None else DEFAULT_FRACTIONS[self.dataset]

@@ -300,12 +300,19 @@ def similarity(h1, h2, kind: str) -> float:
     return _hamming_similarity(a, b)
 
 
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("similarity inputs contain NaN or infinite values")
+
+
 def similarity_matrix(queries: np.ndarray, prototypes: np.ndarray, kind: str) -> np.ndarray:
     """Similarity of every query row against every prototype row.
 
     Vectorized companion of :func:`similarity` used on (n, d) query and
     (K, d) prototype arrays; returns an (n, K) float64 matrix. Real kinds
-    take real arrays, ``complex_cosine`` takes complex arrays.
+    take real arrays, ``complex_cosine`` takes complex arrays. NaN or
+    infinite inputs raise ValueError rather than give a finite profile; the
+    check reads the per-row sums of squares or the (n, K) complex cosines.
     """
     if kind not in SIMILARITY_KINDS:
         raise ValueError(f"unknown similarity kind {kind!r}; expected one of {SIMILARITY_KINDS}")
@@ -318,23 +325,26 @@ def similarity_matrix(queries: np.ndarray, prototypes: np.ndarray, kind: str) ->
         q = q.astype(np.complex128, copy=False)
         p = p.astype(np.complex128, copy=False)
         re = np.real(q @ np.conj(p).T) / q.shape[1]
+        _require_finite(re)
         return np.maximum((re + 1.0) / 2.0, 0.0)
 
     if kind == "hamming_similarity":
+        _require_finite(q, p)
         mismatches = (q[:, None, :] != p[None, :, :]).sum(axis=2)
         return 1.0 - mismatches / q.shape[1]
 
     qf = q.astype(np.float64, copy=False)
     pf = p.astype(np.float64, copy=False)
+    qq = (qf * qf).sum(axis=1)
+    pp = (pf * pf).sum(axis=1)
+    _require_finite(qq, pp)
     if kind == "cosine_normalized":
-        qq = (qf * qf).sum(axis=1)
-        pp = (pf * pf).sum(axis=1)
         denom = np.sqrt(np.outer(qq, pp))
         dots = qf @ pf.T
         cos = np.where(denom > 0.0, dots / np.where(denom > 0.0, denom, 1.0), 0.0)
         return (np.clip(cos, -1.0, 1.0) + 1.0) / 2.0
 
     # inverse_euclidean: expand ||q - p||^2 = ||q||^2 - 2 q.p + ||p||^2
-    sq = (qf * qf).sum(axis=1)[:, None] - 2.0 * (qf @ pf.T) + (pf * pf).sum(axis=1)[None, :]
+    sq = qq[:, None] - 2.0 * (qf @ pf.T) + pp[None, :]
     dist = np.sqrt(np.maximum(sq, 0.0))
     return np.minimum(1.0 / (dist + EPS), INVERSE_EUCLIDEAN_CAP)

@@ -46,6 +46,16 @@ class TestTraining:
         norms = np.linalg.norm(model.prototypes, axis=1)
         np.testing.assert_allclose(norms, 1.0)
 
+    def test_bare_string_is_not_a_batch(self):
+        enc = TrigramTextEncoder(d=64, seed=2)
+        texts = ["hello there", "more text"]
+        model = train_prototypes(texts, [0, 1], enc, "l2_normalized_real", "cosine_normalized")
+        with pytest.raises(TypeError):
+            model.similarity_profiles("abcabc")  # used to give 6 rows, one per character
+        np.testing.assert_array_equal(
+            model.similarity_profile("abcabc"), model.similarity_profiles(["abcabc"])[0]
+        )
+
     def test_every_class_needs_a_sample(self):
         with pytest.raises(ValueError):
             prototypes_from_encoded(np.ones((2, 4)), np.array([0, 2]), 3, "centroid")

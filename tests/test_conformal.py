@@ -284,6 +284,16 @@ class TestPredictionSets:
         with pytest.raises(ValueError, match="NaN or infinite"):
             predict_set_marginal(model, calib, np.array([np.nan, 0.0]), "similarity")
 
+    def test_nan_query_raises_for_cosine_model(self):
+        # l2-normalized prototypes with cosine similarity: the NaN query used to
+        # get the profile [0.5, 0.5] and the empty set, a silent abstention
+        X = np.array([[1.0, 0.0], [0.0, 1.0]])
+        enc = IdentityEncoder(2)
+        model = train_prototypes(X, [0, 1], enc, "l2_normalized_real", "cosine_normalized")
+        calib = MarginalCalibrator(q_hat=-0.9, alpha=0.1, n_cal=10)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            predict_set_marginal(model, calib, np.array([np.nan, 0.0]), "discount")
+
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(2)
         cal = rng.normal(size=200)

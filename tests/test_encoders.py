@@ -262,6 +262,16 @@ def _quantized_sign_reference(enc, X):
     return np.where(total >= 0, 1, -1).astype(np.int8)
 
 
+def _trigram_sign_reference(text, vectors):
+    """sign(sum_t S_t * rho(S_{t+1}) * rho^2(S_{t+2})) summed directly in int64, tie -> +1."""
+    sv = vectors.astype(np.int64)
+    idx = [TEXT_VOCABULARY.index(c) for c in text if c in TEXT_VOCABULARY]
+    total = np.zeros(sv.shape[1], dtype=np.int64)
+    for a, b, c in zip(idx, idx[1:], idx[2:]):
+        total += sv[a] * np.roll(sv[b], 1) * np.roll(sv[c], 2)
+    return np.where(total >= 0, 1, -1).astype(np.int8)
+
+
 class TestTrigramEncoding:
     def test_three_characters_is_single_trigram(self):
         enc = TrigramTextEncoder(d=64, seed=9)
@@ -293,8 +303,8 @@ class TestTrigramEncoding:
 
     @pytest.mark.parametrize("length", [129, 130, 1000])
     def test_long_text_sums_exactly(self, length):
-        # 127 and 128 trigrams straddle one int8 chunk; "a" * n repeats one
-        # trigram, so a chunk of 128 would wrap to -128 and flip signs
+        # 127 and 128 trigrams straddled the chunk edge of an earlier int8 sum;
+        # 998 trigrams span four uint8 chunks of 255
         enc = TrigramTextEncoder(d=256, seed=12)
         rng = np.random.default_rng(length)
         texts = ["a" * length, "".join(rng.choice(list(TEXT_VOCABULARY), size=length))]
@@ -306,6 +316,44 @@ class TestTrigramEncoding:
                 total += sv[a] * np.roll(sv[b], 1) * np.roll(sv[c], 2)
             want = np.where(total >= 0, 1, -1)
             np.testing.assert_array_equal(encode_trigram_text(text, enc.im).elements, want)
+
+    # "a" * n repeats one trigram n - 2 times, so a uint8 count of 256 or more
+    # bits would wrap and flip every sign; widths that are not a multiple of 8
+    # leave pad bits in the packed rows
+    @example(d=9, texts=["a" * 256, "a" * 257, "a" * 258], seed=1)
+    @example(d=65, texts=["a" * 512, "a" * 513], seed=2)
+    @example(d=7, texts=["", "a", "ab", "abc"], seed=3)
+    @example(d=63, texts=["é中a0b\x00c", "中文", "ABC abc", "abcd"], seed=4)
+    @example(d=10_000, texts=["the quick brown fox", "a" * 258], seed=5)
+    @given(
+        d=st.sampled_from([1, 7, 8, 9, 63, 64, 65, 10_000]),
+        texts=st.lists(
+            st.one_of(
+                st.text(TEXT_VOCABULARY, max_size=3),
+                st.text(TEXT_VOCABULARY + "é中0\x00A!", max_size=140),
+                st.sampled_from(["a" * n for n in (256, 257, 258, 512, 513)]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_packed_kernel_matches_direct_sum(self, d, texts, seed):
+        enc = TrigramTextEncoder(d=d, seed=seed)
+        batch = enc.encode_batch(texts)
+        assert batch.shape == (len(texts), d) and batch.dtype == np.int8
+        for row, text in zip(batch, texts):
+            np.testing.assert_array_equal(row, _trigram_sign_reference(text, enc.im.vectors))
+            np.testing.assert_array_equal(row, enc.encode(text).elements)
+            np.testing.assert_array_equal(row, encode_trigram_text(text, enc.im).elements)
+
+    def test_batch_rejects_bare_string(self):
+        # iterating a string would encode each character as its own text
+        enc = TrigramTextEncoder(d=32, seed=13)
+        with pytest.raises(TypeError, match="not one string"):
+            enc.encode_batch("abcabc")
+        assert enc.encode_batch(["abcabc"]).shape == (1, 32)
 
     def test_preprocess(self):
         assert preprocess_text("Hello  World") == "hello world"

@@ -200,6 +200,31 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="score kinds"):
             ExperimentConfig(score_kinds=("bogus",)).validate()
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("levels", 1),
+            ("beta", 0.0),
+            ("beta", -0.3),
+            ("beta", float("nan")),
+            ("beta", float("inf")),
+            ("spike_classes", 0),
+            ("spike_neurons", 0),
+            ("spike_bins", 0),
+            ("spike_per_class", 0),
+            ("spike_ood", 0),
+            ("spike_rate_scale", 0.0),
+            ("spike_rate_scale", float("nan")),
+            ("spike_rate_scale", float("inf")),
+        ],
+    )
+    def test_every_knob_validated(self, knob, value):
+        cfg = ExperimentConfig(dataset="spike_surrogate", repetitions=1, **{knob: value})
+        with pytest.raises(ValueError, match=knob):
+            cfg.validate()
+        with pytest.raises(ValueError, match=knob):
+            run_experiment(cfg)  # before the first repetition
+
 
 class TestCoverageAcrossAlphas:
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2])

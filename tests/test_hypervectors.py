@@ -296,6 +296,21 @@ class TestSimilarityMatrix:
                 )
                 assert mat[i, j] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "kind", ["cosine_normalized", "inverse_euclidean", "hamming_similarity", "complex_cosine"]
+    )
+    @pytest.mark.parametrize("side", ["queries", "prototypes"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # complex inf
+    def test_non_finite_input_rejected(self, kind, bad, side):
+        rng = np.random.default_rng(8)
+        arrays = {"queries": rng.normal(size=(3, 6)), "prototypes": rng.normal(size=(2, 6))}
+        if kind == "complex_cosine":
+            arrays = {k: np.exp(1j * v) for k, v in arrays.items()}
+        arrays[side][1, 4] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            similarity_matrix(arrays["queries"], arrays["prototypes"], kind)
+
 
 class TestTypeInvariants:
     def test_bipolar_elements_validated(self):

@@ -387,42 +387,68 @@ def _add_unit_phasors(
     out += table_term
 
 
-def _fpe_superpose(X: np.ndarray, proj: FpeProjection, bank: PositionBank) -> np.ndarray:
+def _fpe_factor(proj: FpeProjection, bank: PositionBank, t: int) -> np.ndarray:
+    """A = [beta W^T; rho^1 P; ...; rho^t P], the read-only right factor of the FPE kernel.
+
+    It has p + t rows and d columns, zero-padded to a multiple of 8 (see
+    ``_fpe_superpose``).
+    """
+    p, d = proj.p, proj.d
+    A = np.zeros((p + t, -(-d // 8) * 8))
+    np.multiply(proj.W.T, proj.beta, out=A[:p, :d])
+    for j in range(1, t + 1):
+        A[p + j - 1, :d] = bank.phases_for_bin(j)
+    A.setflags(write=False)
+    return A
+
+
+def _fpe_superpose(X: np.ndarray, factor: np.ndarray, d: int) -> np.ndarray:
     """sum_j exp(i (beta W X[r, :, j] + rho^j P)) for every row r of an (n, p, t) batch.
 
-    Rows are walked in blocks of about 512 KiB of phases, so the temporaries
-    stay a few MiB whatever n is; each bin's phases are formed in one reused
-    buffer and their unit phasors are added into the output
-    (``_add_unit_phasors``). Every product has the same number of rows, at
-    least two: numpy sends a one-row product to gemv, whose sums differ in the
-    last bits from gemm's, and a single input would then encode unlike the
-    same row in a batch.
+    ``factor`` is ``_fpe_factor(proj, bank, t_max)`` for some t_max >= t, and
+    ``d`` is ``proj.d``.
+    Rows are walked in blocks of max(2, 2**15 // d) rows, a fixed rule: the
+    t bins' phases of a block (at most 2 MiB at t = 8 while d <= 2**14) stay
+    in a core's L2 cache, and the temporaries do not grow with n. All of a
+    block's phases come from one product L @ A, where row (j, r) of L is
+    [X[r, :, j] | e_j] and e_j is the one-hot row of bin j; this folds the
+    beta scale and the positional add into the product, and as the 1 * P
+    and 0 * P terms are exact, each phase is still a rounded sum of p + 1
+    nonzero terms. Each bin's unit phasors are then added into the output
+    (``_add_unit_phasors``).
+
+    A row's phases must not depend on its place in the product, or a single
+    input would encode unlike its row in a batch. So every product has the
+    same rows * t >= 2 rows (numpy sends a one-row product to gemv, whose
+    sums differ in the last bits from gemm's), and the factor is padded to a
+    multiple of 8 columns: OpenBLAS's AVX-512 kernels sum the last d mod 8
+    columns of the rows past a multiple of 12 in another order.
     """
     n, p, t = X.shape
     if t == 0:
         raise ValueError("trajectory must contain at least one time bin")
-    if t > bank.t_max:
-        raise ValueError(f"trajectory length {t} exceeds t_max {bank.t_max}")
+    if t > factor.shape[0] - p:
+        raise ValueError(f"trajectory length {t} exceeds t_max {factor.shape[0] - p}")
     _require_finite(X, "projection input")
-    d = proj.d
-    rows = max(2, 2**16 // d)
-    positions = [bank.phases_for_bin(j) for j in range(1, t + 1)]
+    A = factor[: p + t]
+    width = A.shape[1]
+    rows = max(2, 2**15 // d)
     out = np.zeros((n, d), dtype=np.complex128)
-    x_buf = np.zeros((t, rows, p))  # rows past a short block are stale and unused
-    phase_buf = np.empty((rows, d))
+    # left[j, r] = [X[r, :, j] | e_j]; rows past a short block are stale and unused
+    left = np.zeros((t, rows, p + t))
+    left[np.arange(t), :, p + np.arange(t)] = 1.0
+    phase_buf = np.empty((t, rows, width))
     work_buf = np.empty((3, rows, d))
     index_buf = np.empty((rows, d), dtype=np.intp)
     terms_buf = np.empty((2, rows, d), dtype=np.complex128)
     for start in range(0, n, rows):
         m = min(rows, n - start)
-        x_buf[:, :m] = X[start : start + m].transpose(2, 0, 1)
+        left[:, :m, :p] = X[start : start + m].transpose(2, 0, 1)
+        np.matmul(left.reshape(t * rows, p + t), A, out=phase_buf.reshape(t * rows, width))
         block = out[start : start + m]
-        phase, work, index, terms = phase_buf[:m], work_buf[:, :m], index_buf[:m], terms_buf[:, :m]
+        work, index, terms = work_buf[:, :m], index_buf[:m], terms_buf[:, :m]
         for j in range(t):
-            np.matmul(x_buf[j], proj.W.T, out=phase_buf)
-            phase *= proj.beta
-            phase += positions[j]
-            _add_unit_phasors(phase, block, work, index, terms)
+            _add_unit_phasors(phase_buf[j, :m, :d], block, work, index, terms)
     return out
 
 
@@ -433,12 +459,14 @@ def encode_temporal_trajectory(
 
     ``X`` has shape (p, t) with one column per time bin; the result is the
     raw complex sum over bins j of exp(i * (beta W X[:, j])) * rho^j(P),
-    left unnormalized.
+    left unnormalized. The kernel's factor is built on every call;
+    ``TemporalFpeEncoder`` builds it once.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != proj.p:
         raise ValueError(f"expected a ({proj.p}, t) matrix, got shape {X.shape}")
-    return ComplexAccumulator(_fpe_superpose(X[None], proj, bank)[0])
+    factor = _fpe_factor(proj, bank, X.shape[1])
+    return ComplexAccumulator(_fpe_superpose(X[None], factor, proj.d)[0])
 
 
 def encode_identity(x) -> RealAccumulator:
@@ -604,6 +632,7 @@ class TemporalFpeEncoder:
         proj_seed, bank_seed = _spawn_seeds(seed, 2)
         self.proj = FpeProjection(p, d, beta, proj_seed)
         self.bank = PositionBank(d, t_max, bank_seed)
+        self.factor = _fpe_factor(self.proj, self.bank, t_max)
         self.p = p
         self.d = d
         self.t_max = t_max
@@ -611,13 +640,16 @@ class TemporalFpeEncoder:
         self.seed = seed
 
     def encode(self, X) -> ComplexAccumulator:
-        return encode_temporal_trajectory(X, self.proj, self.bank)
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"expected a ({self.p}, t) matrix, got shape {X.shape}")
+        return ComplexAccumulator(self.encode_batch(X[None])[0])
 
     def encode_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 3 or X.shape[1] != self.p:
             raise ValueError(f"expected (n, {self.p}, t) trajectories, got shape {X.shape}")
-        return _fpe_superpose(X, self.proj, self.bank)
+        return _fpe_superpose(X, self.factor, self.d)
 
     def state(self) -> dict:
         return {

@@ -492,6 +492,28 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
     )
 
 
+def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
+    """a[:] = a[order] in place, for a permutation ``order``, with one row of scratch.
+
+    Each cycle of the permutation is walked once, moving every row up by
+    one place along it; no copy of ``a`` is made.
+    """
+    order = order.tolist()
+    placed = [False] * len(order)
+    row = np.empty_like(a[0])
+    for start in range(len(order)):
+        if placed[start]:
+            continue
+        row[...] = a[start]
+        i = start
+        while order[i] != start:
+            a[i] = a[order[i]]
+            placed[i] = True
+            i = order[i]
+        a[i] = row
+        placed[i] = True
+
+
 def _evaluate_repetition(
     config: ExperimentConfig, fractions, feats, labels, ood_feats, split_ss, enc_ss, u_ss
 ) -> Dict[str, dict]:
@@ -501,24 +523,52 @@ def _evaluate_repetition(
     train_idx, cal_idx, test_idx = split_data(n, SplitSpec(fractions, seed=split_ss))
 
     encoder = _build_encoder(config, feats, train_idx, enc_ss)
-    style, sim_kind = _RECIPE_STYLE[config.dataset]
-
     encoded = encoder.encode_batch(feats)
+    # The folds partition the rows, so putting the codes in fold order makes
+    # train, train + calibration (the baseline's rows, in the same order),
+    # calibration and test contiguous views of one array. The codes are
+    # permuted in place, unless they are the caller's own features (the
+    # identity encoder passes its input through); those are copied.
+    order = np.concatenate([train_idx, cal_idx, test_idx])
+    if np.may_share_memory(encoded, feats):
+        encoded = encoded[order]
+    else:
+        _permute_rows(encoded, order)
     encoded_ood = encoder.encode_batch(ood_feats) if len(ood_feats) else None
+    a, b = train_idx.shape[0], train_idx.shape[0] + cal_idx.shape[0]
+    y = labels[order]
+    return _evaluate_folds(
+        config,
+        n_classes,
+        (encoded[:a], y[:a]),
+        (encoded[:b], y[:b]),
+        (encoded[a:b], y[a:b]),
+        (encoded[b:], y[b:]),
+        encoded_ood,
+        u_ss,
+    )
 
-    protos_train = prototypes_from_encoded(encoded[train_idx], labels[train_idx], n_classes, style)
-    full_idx = np.concatenate([train_idx, cal_idx])
-    protos_full = prototypes_from_encoded(encoded[full_idx], labels[full_idx], n_classes, style)
 
-    prof_cal = similarity_matrix(encoded[cal_idx], protos_train, sim_kind)
-    prof_test = similarity_matrix(encoded[test_idx], protos_train, sim_kind)
+def _evaluate_folds(
+    config: ExperimentConfig, n_classes: int, train, full, cal, test, encoded_ood, u_ss
+) -> Dict[str, dict]:
+    """Metrics per method from encoded folds, each fold an (encoded rows, labels) pair.
+
+    ``full`` is train + calibration, on which the baseline's prototypes are built.
+    """
+    style, sim_kind = _RECIPE_STYLE[config.dataset]
+    protos_train = prototypes_from_encoded(train[0], train[1], n_classes, style)
+    protos_full = prototypes_from_encoded(full[0], full[1], n_classes, style)
+
+    prof_cal = similarity_matrix(cal[0], protos_train, sim_kind)
+    prof_test = similarity_matrix(test[0], protos_train, sim_kind)
     prof_ood = (
         similarity_matrix(encoded_ood, protos_train, sim_kind)
         if encoded_ood is not None
         else None
     )
-    y_cal = labels[cal_idx]
-    y_test = labels[test_idx]
+    y_cal = cal[1]
+    y_test = test[1]
 
     u_rng = np.random.default_rng(u_ss)
     u_cal = u_rng.uniform(size=prof_cal.shape[0])
@@ -528,7 +578,7 @@ def _evaluate_repetition(
     out: Dict[str, dict] = {}
 
     # Baseline: top-1 prediction from prototypes built on train + calibration.
-    prof_full_test = similarity_matrix(encoded[test_idx], protos_full, sim_kind)
+    prof_full_test = similarity_matrix(test[0], protos_full, sim_kind)
     baseline_acc = float((np.argmax(prof_full_test, axis=1) == y_test).mean())
     out[METHOD_HDC] = {
         "coverage": baseline_acc,

@@ -487,9 +487,13 @@ class TestTemporalEncoding:
             enc.encode_batch(X)
 
     # the former fixed case; then, with the encoder's blocks of
-    # max(2, 2**16 // d) rows: n = 1, n = 2, n less than one block (t = 1),
-    # n not a multiple of the block (t = t_max; 6 rows at d = 10000, 13 at
-    # d = 5000), and d > 2**16 (two rows per block, n = 2 and n = 3)
+    # max(2, 2**15 // d) rows and one product of (rows * t) rows and p + t
+    # columns per block: n = 1, n = 2, n less than one block (t = 1),
+    # n not a multiple of the block (t = t_max; 3 rows at d = 10000, 6 at
+    # d = 5000), d > 2**16 (two rows per block, n = 2 and n = 3); t > 8;
+    # t = t_max with a large t_max (40 one-hot columns); n = 1 with t = 1
+    # (the product still has two rows); and d where the block size changes:
+    # 16 rows at d = 2000, 3 at d = 10922, 2 at d = 10923 and at 2**15 +- 1
     @example(n=5, p=4, t=6, t_spare=0, d=32, seed=25)
     @example(n=1, p=3, t=2, t_spare=1, d=40, seed=1)
     @example(n=2, p=3, t=2, t_spare=0, d=10_000, seed=5)
@@ -498,6 +502,16 @@ class TestTemporalEncoding:
     @example(n=14, p=4, t=2, t_spare=1, d=5_000, seed=6)
     @example(n=2, p=3, t=3, t_spare=0, d=2**16 + 1, seed=7)
     @example(n=3, p=2, t=2, t_spare=0, d=2**17 + 3, seed=4)
+    @example(n=7, p=3, t=11, t_spare=2, d=3_000, seed=8)
+    @example(n=5, p=2, t=40, t_spare=0, d=700, seed=9)
+    @example(n=1, p=3, t=1, t_spare=0, d=10_000, seed=10)
+    @example(n=1, p=30, t=1, t_spare=7, d=2_000, seed=11)
+    @example(n=35, p=4, t=8, t_spare=0, d=2_000, seed=12)
+    @example(n=7, p=3, t=4, t_spare=0, d=10_000, seed=13)
+    @example(n=7, p=3, t=4, t_spare=1, d=10_922, seed=14)
+    @example(n=5, p=3, t=4, t_spare=0, d=10_923, seed=15)
+    @example(n=3, p=2, t=3, t_spare=0, d=2**15 - 1, seed=16)
+    @example(n=3, p=2, t=3, t_spare=1, d=2**15 + 1, seed=17)
     @given(
         n=st.integers(1, 30),
         p=st.integers(1, 8),
@@ -515,6 +529,18 @@ class TestTemporalEncoding:
         assert np.all(np.abs(batch - want) <= bound)
         for i in range(n):
             assert np.all(np.abs(batch[i] - enc.encode(X[i]).values) <= bound[i])
+
+    @pytest.mark.parametrize("d, n", [(2000, 20), (10_000, 7), (2001, 16)])
+    def test_single_encode_is_its_batch_row_bit_for_bit(self, d, n):
+        # the spike workload's shape (p = 30 neurons, t = 8 bins, Poisson
+        # counts) at its two widths, and d = 2001: without the factor's padding
+        # to 8 columns, batch rows 8 to 15 (product rows 120 to 127 of 128)
+        # differ in their last column from the same trajectory encoded alone
+        enc = TemporalFpeEncoder(p=30, d=d, t_max=8, seed=28)
+        X = np.random.default_rng(d).poisson(2.0, size=(n, 30, 8)).astype(np.float64)
+        batch = enc.encode_batch(X)
+        for i in range(n):
+            np.testing.assert_array_equal(enc.encode(X[i]).values, batch[i])
 
     def test_batch_memory_independent_of_rows(self):
         # rows are encoded in fixed-size blocks, so beyond the output itself

@@ -1,11 +1,16 @@
 """Splitting, metrics, and the repeated-experiment harness."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conformal_hdc import evaluation
 from conformal_hdc.conformal import PredictionSet
+from conformal_hdc.datasets import DatasetBundle
 from conformal_hdc.evaluation import (
     ExperimentConfig,
     SplitSpec,
@@ -16,6 +21,7 @@ from conformal_hdc.evaluation import (
     run_experiment,
     split_data,
 )
+from conformal_hdc.synthetic import SyntheticConfig, generate_synthetic
 
 
 def make_set(labels, k=3):
@@ -240,3 +246,90 @@ class TestCoverageAcrossAlphas:
             lo = (1 - alpha) - 3 * m.coverage_se
             hi = (1 - alpha) + 1.0 / 501.0 + 3 * m.coverage_se
             assert lo <= m.coverage <= hi, (alpha, m.method, m.coverage, lo, hi)
+
+
+def _fancy_index_repetition(config, fractions, feats, labels, ood_feats, split_ss, enc_ss, u_ss):
+    """One repetition with the rows encoded in input order and each fold copied out by fancy indexing."""
+    labels = np.asarray(labels, dtype=np.int64)
+    train, cal, test = split_data(labels.shape[0], SplitSpec(fractions, seed=split_ss))
+    encoder = evaluation._build_encoder(config, feats, train, enc_ss)
+    encoded = encoder.encode_batch(feats)
+    encoded_ood = encoder.encode_batch(ood_feats) if len(ood_feats) else None
+    folds = [(encoded[idx], labels[idx]) for idx in (train, np.concatenate([train, cal]), cal, test)]
+    return evaluation._evaluate_folds(config, int(labels.max()) + 1, *folds, encoded_ood, u_ss)
+
+
+def _letters_bundle(seed=0, n_classes=6, per_class=25, p=12):
+    """An isolet-shaped bundle: real features, letters as label names."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(n_classes), per_class)
+    features = rng.normal(size=(n_classes, p))[labels] + rng.normal(0.0, 0.8, size=(labels.size, p))
+    return DatasetBundle(features, labels, [chr(ord("A") + c) for c in range(n_classes)])
+
+
+class TestRepetitionFolds:
+    @pytest.mark.parametrize(
+        "config, bundle",
+        [
+            (ExperimentConfig(dataset="synthetic", repetitions=4, seed=7, n_ood=40), None),
+            (ExperimentConfig(dataset="synthetic", repetitions=3, seed=8, n_ood=0, conditional=True), None),
+            (
+                ExperimentConfig(dataset="isolet", d=256, repetitions=3, seed=9, ood_holdout=("F",)),
+                _letters_bundle(),
+            ),
+            (ExperimentConfig(dataset="spike_surrogate", d=64, repetitions=2, seed=10), None),
+        ],
+    )
+    def test_fold_views_match_fancy_index_copies(self, monkeypatch, config, bundle):
+        # putting the codes in fold order and slicing the folds out as views
+        # gives, bit for bit, the metrics of copying each fold out by fancy
+        # indexing; the synthetic recipe's identity codes are its features,
+        # which are copied, so only the isolet-style and spike cases put their
+        # codes in fold order in place
+        sliced = run_experiment(config, bundle)
+        monkeypatch.setattr(evaluation, "_evaluate_repetition", _fancy_index_repetition)
+        copied = run_experiment(config, bundle)
+        assert sliced.label_names == copied.label_names
+        for a, b in zip(sliced.methods, copied.methods, strict=True):
+            for field in dataclasses.fields(a):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                if x is None or isinstance(x, str):
+                    assert x == y, field.name
+                else:
+                    assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_permute_rows_in_place(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+        for order in (np.arange(n), np.roll(np.arange(n), 1), rng.permutation(n)):
+            b = a.copy()
+            evaluation._permute_rows(b, order)
+            np.testing.assert_array_equal(b, a[order])
+
+    def test_identity_codes_do_not_alias_the_features(self):
+        # the identity encoder passes its float64 input through; putting the
+        # codes in fold order in place would shuffle the caller's features
+        feats, labels, ood = generate_synthetic(SyntheticConfig(n_per_class=(20, 20, 20), n_ood=5, seed=1))
+        kept = feats.copy()
+        parts = np.random.SeedSequence(3).spawn(3)
+        evaluation._evaluate_repetition(
+            ExperimentConfig(dataset="synthetic"), (0.4, 0.5, 0.1), feats, labels, ood, *parts
+        )
+        np.testing.assert_array_equal(feats, kept)
+
+    def test_spike_repetition_peak_memory_is_the_codes(self):
+        # A repetition keeps two n x d arrays, the complex128 codes of the
+        # inliers and of the OOD pool; beyond them it holds the FPE kernel's
+        # blocks (about 4.6 MiB at d = 2048) and the trials (a few MiB). Copying
+        # the train + calibration folds out of the codes by fancy indexing
+        # added (n_train + n_cal) * d * 16 bytes (16.9 MiB here) and failed this.
+        cfg = ExperimentConfig(dataset="spike_surrogate", d=2048, repetitions=1, seed=5)
+        codes = (cfg.spike_classes * cfg.spike_per_class + cfg.spike_ood) * cfg.d * 16
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - codes <= 10 * 2**20

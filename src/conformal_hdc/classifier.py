@@ -27,6 +27,8 @@ from .hypervectors import similarity_matrix
 __all__ = [
     "PROTOTYPE_STYLES",
     "TrainedModel",
+    "check_class_labels",
+    "class_sums",
     "prototypes_from_encoded",
     "train_prototypes",
 ]
@@ -97,30 +99,60 @@ class TrainedModel:
         return arr[None, ...]
 
 
+def check_class_labels(labels, n_classes: int | None = None) -> np.ndarray:
+    """Labels as 1-d int64 class indices, checked before they index anything.
+
+    Non-integer dtypes raise, as a float label would be truncated to a class;
+    so do values below 0, which numpy reads from the end, and values at or
+    past ``n_classes`` when it is given.
+    """
+    arr = np.asarray(labels)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"class labels must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False).reshape(-1)
+    if arr.size and (arr.min() < 0 or (n_classes is not None and arr.max() >= n_classes)):
+        raise ValueError(f"class labels must lie in range({'K' if n_classes is None else n_classes})")
+    return arr
+
+
+def class_sums(encoded: np.ndarray, dense_labels, n_classes: int):
+    """(n_classes, d) sums of each class's encoded rows, and (n_classes,) row counts.
+
+    Sums are complex128 for complex codes and float64 otherwise; sums of
+    chunks add up to those of all rows, exactly for bipolar codes.
+    """
+    encoded = np.asarray(encoded)
+    dense = check_class_labels(dense_labels, n_classes)
+    if encoded.shape[0] != dense.shape[0]:
+        raise ValueError("feature/label counts differ")
+    one_hot = np.arange(n_classes)[:, None] == dense
+    counts = one_hot.sum(axis=1)
+    if encoded.dtype == np.int8 and counts.max(initial=0) < 2**24:
+        # every partial sum of +-1 codes is an integer below 2**24, exact in float32
+        return (one_hot.astype(np.float32) @ encoded.astype(np.float32)).astype(np.float64), counts
+    dtype = np.complex128 if np.iscomplexobj(encoded) else np.float64
+    return one_hot.astype(dtype) @ encoded.astype(dtype, copy=False), counts
+
+
 def prototypes_from_encoded(
-    encoded: np.ndarray, dense_labels: np.ndarray, n_classes: int, style: str
+    encoded: np.ndarray, dense_labels, n_classes: int, style: str, *, counts=None
 ) -> np.ndarray:
-    """Per-class prototypes from already-encoded samples.
+    """Per-class prototypes from encoded samples, or from their class sums.
 
     ``dense_labels`` index into ``range(n_classes)``; every class must be
-    present. The return dtype follows the style (int8 bipolar, float64
-    real, complex128).
+    present. To finalize sums added up chunk by chunk with
+    :func:`class_sums`, pass them as ``encoded``, None as ``dense_labels``
+    and their ``counts``. The return dtype follows the style (int8
+    bipolar, float64 real, complex128).
     """
     if style not in PROTOTYPE_STYLES:
         raise ValueError(f"unknown prototype style {style!r}; expected one of {PROTOTYPE_STYLES}")
-    encoded = np.asarray(encoded)
-    dense = np.asarray(dense_labels, dtype=np.int64)
-    if encoded.shape[0] != dense.shape[0]:
-        raise ValueError("feature/label counts differ")
-    if encoded.shape[0] == 0:
-        raise ValueError("training data is empty")
-    if dense.min() < 0 or dense.max() >= n_classes:
-        raise ValueError(f"dense labels must lie in range({n_classes})")
-
-    sums_dtype = np.complex128 if np.iscomplexobj(encoded) else np.float64
-    one_hot = np.arange(n_classes)[:, None] == dense
-    sums = one_hot.astype(sums_dtype) @ encoded.astype(sums_dtype, copy=False)
-    counts = one_hot.sum(axis=1)
+    if counts is None:
+        sums, counts = class_sums(encoded, dense_labels, n_classes)
+    elif dense_labels is not None or len(encoded) != n_classes or np.shape(counts) != (n_classes,):
+        raise ValueError(f"class sums take no labels, and {n_classes} rows and counts")
+    else:
+        sums = np.array(encoded)  # a copy: raw_complex returns it, and the caller may add to the sums
     if np.any(counts == 0):
         raise ValueError("every class needs at least one training sample")
 

@@ -33,6 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .classifier import check_class_labels
+
 __all__ = [
     "SCORE_KINDS",
     "ConditionalCalibrator",
@@ -170,7 +172,9 @@ def calibration_scores(
 ) -> np.ndarray:
     """Score of each sample's true label, one value per calibration point."""
     matrix = score_matrix(profiles, kind, lam=lam, temperature=temperature, u=u)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_class_labels(labels, matrix.shape[1])
+    if labels.shape[0] != matrix.shape[0]:
+        raise ValueError("profiles and labels must have equal length")
     return matrix[np.arange(matrix.shape[0]), labels]
 
 
@@ -255,11 +259,9 @@ def calibrate_conditional(cal_scores, cal_labels, alpha: float, n_classes: int) 
     Labels absent from the calibration set get a +inf threshold.
     """
     scores = _finite_scores(cal_scores)
-    labels = np.asarray(cal_labels, dtype=np.int64).reshape(-1)
+    labels = check_class_labels(cal_labels, n_classes)
     if scores.shape[0] != labels.shape[0]:
         raise ValueError("scores and labels must have equal length")
-    if np.any((labels < 0) | (labels >= n_classes)):
-        raise ValueError(f"calibration labels must lie in range({n_classes})")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     thresholds = np.full(n_classes, np.inf)

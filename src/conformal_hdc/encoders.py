@@ -192,14 +192,19 @@ class QuantizationGrid:
     def quantize(self, X: np.ndarray) -> np.ndarray:
         """Map reals to integer levels in {0, ..., levels-1}, clipping overflow.
 
+        The levels come in the smallest unsigned dtype that holds them.
         Non-finite values raise: NaN would otherwise land silently on level 0.
         """
         X = _require_finite(np.atleast_2d(np.asarray(X, dtype=np.float64)), "quantizer input")
         span = self.maxs - self.mins
-        safe = np.where(span > 0.0, span, 1.0)
-        idx = np.floor((X - self.mins) / safe * self.levels).astype(np.int64)
-        idx[:, span == 0.0] = 0
-        return np.clip(idx, 0, self.levels - 1)
+        level = X - self.mins
+        level /= np.where(span > 0.0, span, 1.0)
+        level *= self.levels
+        np.floor(level, out=level)
+        level[:, span == 0.0] = 0.0
+        # clipped before the cast, so values past int64 still reach the top level
+        np.clip(level, 0, self.levels - 1, out=level)
+        return level.astype(np.min_scalar_type(self.levels - 1))
 
 
 class FpeProjection:
@@ -580,7 +585,13 @@ class QuantizedFeatureEncoder:
             cols = np.flatnonzero(step)
             reached = (q >= v).astype(np.float32)
             acc[cols] += (ids[:, cols].T.astype(np.float32) @ reached.T) * step[cols, None]
-        return np.ascontiguousarray(np.where(acc.T >= 0, np.int8(1), np.int8(-1)))
+        del q, reached
+        # sign with the tie 0 -> +1, written as 0/1 into the codes' own bytes, then mapped to -1/+1
+        codes = np.empty((X.shape[0], self.d), dtype=np.int8)
+        np.greater_equal(acc.T, 0, out=codes.view(np.bool_))
+        codes *= 2
+        codes -= 1
+        return codes
 
     def state(self) -> dict:
         grid = self.grid

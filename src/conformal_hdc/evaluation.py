@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import datasets as _datasets
-from .classifier import prototypes_from_encoded
+from .classifier import check_class_labels, class_sums, prototypes_from_encoded
 from .conformal import (
     SCORE_KINDS,
     calibrate_conditional,
@@ -119,16 +119,20 @@ def split_data(n_samples: int, spec: SplitSpec):
 # ---------------------------------------------------------------------------
 
 
-def _as_inclusion(sets, labels=None):
+def _as_inclusion(sets):
     if isinstance(sets, np.ndarray) and sets.dtype == bool:
         return sets
     return None
 
 
 def empirical_coverage(sets, labels) -> float:
-    """Fraction of samples whose true label is in their prediction set."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Fraction of samples whose true label is in their prediction set.
+
+    ``sets`` is an (n, K) inclusion matrix, whose K bounds the labels, or a
+    sequence of prediction sets.
+    """
     matrix = _as_inclusion(sets)
+    labels = check_class_labels(labels, None if matrix is None else matrix.shape[1])
     if matrix is not None:
         if matrix.shape[0] != labels.shape[0]:
             raise ValueError("sets and labels must have equal length")
@@ -159,7 +163,7 @@ def point_accuracy(preds, labels, count_empty_as_error: bool = True) -> float:
     Empty predictions count as errors when the flag is set (the default on
     inlier test data) and are skipped otherwise.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_class_labels(labels)
     preds = list(preds)
     if len(preds) != labels.shape[0]:
         raise ValueError("predictions and labels must have equal length")
@@ -311,16 +315,12 @@ def _holdout_partition(bundle, holdout_names: Tuple[str, ...]):
     ood_mask = np.isin(labels, sorted(held_ids))
     kept_ids = [i for i in range(len(names)) if i not in held_ids]
     remap = {old: new for new, old in enumerate(kept_ids)}
-    in_features = _take(bundle.features, ~ood_mask)
+    features = np.asarray(bundle.features)
+    in_features = features[~ood_mask]
     in_labels = np.array([remap[int(y)] for y in labels[~ood_mask]], dtype=np.int64)
-    ood_features = _take(bundle.features, ood_mask)
+    ood_features = features[ood_mask]
     kept_names = [names[i] for i in kept_ids]
     return in_features, in_labels, ood_features, kept_names
-
-
-def _take(features, mask):
-    arr = np.asarray(features) if not isinstance(features, np.ndarray) else features
-    return arr[mask]
 
 
 def _rep_seed_parts(master_seed: int, rep: int):
@@ -429,39 +429,20 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
     rows = []
     for m in methods:
         reps = per_rep[m]
-        cov, cov_se = _aggregate([r["coverage"] for r in reps])
-        size, size_se = _aggregate([r["size"] for r in reps])
-        acc, acc_se = _aggregate([r["accuracy"] for r in reps])
-        auc, auc_se = _aggregate([r["auc"] for r in reps])
-        minscore_auc, _ = _aggregate([r["minscore_auc"] for r in reps])
-        empty, _ = _aggregate([r["empty_rate"] for r in reps])
-        ood_empty, _ = _aggregate([r["ood_empty_rate"] for r in reps])
-        label_cov = label_cov_se = slack = None
+        fields = {}
+        for key in ("coverage", "size", "accuracy", "auc"):
+            fields[key], fields[key + "_se"] = _aggregate([r[key] for r in reps])
+        for key in ("minscore_auc", "empty_rate", "ood_empty_rate"):
+            fields[key] = _aggregate([r[key] for r in reps])[0]
         if config.conditional and reps and reps[0]["label_coverage"] is not None:
             stacked = np.vstack([r["label_coverage"] for r in reps])
-            label_cov = np.nanmean(stacked, axis=0)
             counts = np.isfinite(stacked).sum(axis=0)
-            label_cov_se = np.nanstd(stacked, ddof=1, axis=0) / np.sqrt(np.maximum(counts, 1))
-            slack = np.vstack([r["label_upper_slack"] for r in reps]).mean(axis=0)
-        rows.append(
-            MethodMetrics(
-                method=m,
-                coverage=cov,
-                coverage_se=cov_se,
-                size=size,
-                size_se=size_se,
-                accuracy=acc,
-                accuracy_se=acc_se,
-                auc=auc,
-                auc_se=auc_se,
-                minscore_auc=minscore_auc,
-                empty_rate=empty,
-                ood_empty_rate=ood_empty,
-                label_coverage=label_cov,
-                label_coverage_se=label_cov_se,
-                label_upper_slack=slack,
+            fields.update(
+                label_coverage=np.nanmean(stacked, axis=0),
+                label_coverage_se=np.nanstd(stacked, ddof=1, axis=0) / np.sqrt(np.maximum(counts, 1)),
+                label_upper_slack=np.vstack([r["label_upper_slack"] for r in reps]).mean(axis=0),
             )
-        )
+        rows.append(MethodMetrics(method=m, **fields))
 
     echo = {
         "dataset": config.dataset,
@@ -492,83 +473,58 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
     )
 
 
-def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
-    """a[:] = a[order] in place, for a permutation ``order``, with one row of scratch.
-
-    Each cycle of the permutation is walked once, moving every row up by
-    one place along it; no copy of ``a`` is made.
-    """
-    order = order.tolist()
-    placed = [False] * len(order)
-    row = np.empty_like(a[0])
-    for start in range(len(order)):
-        if placed[start]:
-            continue
-        row[...] = a[start]
-        i = start
-        while order[i] != start:
-            a[i] = a[order[i]]
-            placed[i] = True
-            i = order[i]
-        a[i] = row
-        placed[i] = True
+#: Bytes of codes in one chunk of a repetition's rows, at 16 per element (a
+#: complex128 code, or an int8 one with its float temporaries). The rows per
+#: chunk follow from d alone, so a repetition's memory does not grow with n.
+_CHUNK_BYTES = 8 * 2**20
 
 
 def _evaluate_repetition(
     config: ExperimentConfig, fractions, feats, labels, ood_feats, split_ss, enc_ss, u_ss
 ) -> Dict[str, dict]:
-    labels = np.asarray(labels, dtype=np.int64)
-    n = labels.shape[0]
-    n_classes = int(labels.max()) + 1
-    train_idx, cal_idx, test_idx = split_data(n, SplitSpec(fractions, seed=split_ss))
+    """Metrics per method from one pass over the rows in fold order, a chunk at a time.
 
-    encoder = _build_encoder(config, feats, train_idx, enc_ss)
-    encoded = encoder.encode_batch(feats)
-    # The folds partition the rows, so putting the codes in fold order makes
-    # train, train + calibration (the baseline's rows, in the same order),
-    # calibration and test contiguous views of one array. The codes are
-    # permuted in place, unless they are the caller's own features (the
-    # identity encoder passes its input through); those are copied.
-    order = np.concatenate([train_idx, cal_idx, test_idx])
-    if np.may_share_memory(encoded, feats):
-        encoded = encoded[order]
-    else:
-        _permute_rows(encoded, order)
-    encoded_ood = encoder.encode_batch(ood_feats) if len(ood_feats) else None
-    a, b = train_idx.shape[0], train_idx.shape[0] + cal_idx.shape[0]
-    y = labels[order]
-    return _evaluate_folds(
-        config,
-        n_classes,
-        (encoded[:a], y[:a]),
-        (encoded[:b], y[:b]),
-        (encoded[a:b], y[a:b]),
-        (encoded[b:], y[b:]),
-        encoded_ood,
-        u_ss,
-    )
-
-
-def _evaluate_folds(
-    config: ExperimentConfig, n_classes: int, train, full, cal, test, encoded_ood, u_ss
-) -> Dict[str, dict]:
-    """Metrics per method from encoded folds, each fold an (encoded rows, labels) pair.
-
-    ``full`` is train + calibration, on which the baseline's prototypes are built.
+    Only the K x d class sums and the (n, K) profiles outlive a chunk.
     """
+    labels = np.asarray(labels, dtype=np.int64)
+    n_classes = int(labels.max()) + 1
+    train_idx, cal_idx, test_idx = split_data(labels.shape[0], SplitSpec(fractions, seed=split_ss))
+    encoder = _build_encoder(config, feats, train_idx, enc_ss)
     style, sim_kind = _RECIPE_STYLE[config.dataset]
-    protos_train = prototypes_from_encoded(train[0], train[1], n_classes, style)
-    protos_full = prototypes_from_encoded(full[0], full[1], n_classes, style)
+    rows = max(1, _CHUNK_BYTES // (16 * encoder.d))
+    sums, counts = 0, 0  # the first += makes them arrays of class_sums's dtypes
+    prof = {"cal": [], "test": [], "full_test": [], "ood": []}
+    folds = (("train", feats, train_idx), ("cal", feats, cal_idx), ("test", feats, test_idx))
+    for fold, source, idx in folds + (("ood", ood_feats, np.arange(len(ood_feats))),):
+        # the train sums give the train prototypes; train + calibration, the baseline's
+        if fold == "cal":
+            protos_train = prototypes_from_encoded(sums, None, n_classes, style, counts=counts)
+        elif fold == "test":
+            protos_full = prototypes_from_encoded(sums, None, n_classes, style, counts=counts)
+        for start in range(0, len(idx), rows):
+            part = idx[start : start + rows]
+            codes = encoder.encode_batch(source[part])
+            if fold != "train":
+                prof[fold].append(similarity_matrix(codes, protos_train, sim_kind))
+            if fold == "test":
+                prof["full_test"].append(similarity_matrix(codes, protos_full, sim_kind))
+            if fold in ("train", "cal"):
+                s, c = class_sums(codes, labels[part], n_classes)
+                sums += s
+                counts += c
+            del codes  # before the next chunk is encoded
+    prof = {k: np.concatenate(v) if v else None for k, v in prof.items()}
+    return _evaluate_profiles(config, n_classes, prof, labels[cal_idx], labels[test_idx], u_ss)
 
-    prof_cal = similarity_matrix(cal[0], protos_train, sim_kind)
-    prof_test = similarity_matrix(test[0], protos_train, sim_kind)
-    prof_ood = (
-        similarity_matrix(encoded_ood, protos_train, sim_kind)
-        if encoded_ood is not None
-        else None
-    )
-    y_cal = cal[1]
-    y_test = test[1]
+
+def _evaluate_profiles(config: ExperimentConfig, n_classes: int, prof, y_cal, y_test, u_ss) -> Dict[str, dict]:
+    """Metrics per method from similarity profiles.
+
+    ``prof`` holds the calibration, test and OOD rows' profiles against the
+    train prototypes ("cal", "test", "ood"; "ood" may be None), and the test
+    rows' against the baseline's ("full_test").
+    """
+    prof_cal, prof_test, prof_full_test, prof_ood = (prof[k] for k in ("cal", "test", "full_test", "ood"))
 
     u_rng = np.random.default_rng(u_ss)
     u_cal = u_rng.uniform(size=prof_cal.shape[0])
@@ -578,7 +534,6 @@ def _evaluate_folds(
     out: Dict[str, dict] = {}
 
     # Baseline: top-1 prediction from prototypes built on train + calibration.
-    prof_full_test = similarity_matrix(test[0], protos_full, sim_kind)
     baseline_acc = float((np.argmax(prof_full_test, axis=1) == y_test).mean())
     out[METHOD_HDC] = {
         "coverage": baseline_acc,

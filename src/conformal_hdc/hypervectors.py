@@ -335,8 +335,8 @@ def similarity_matrix(queries: np.ndarray, prototypes: np.ndarray, kind: str) ->
 
     qf = q.astype(np.float64, copy=False)
     pf = p.astype(np.float64, copy=False)
-    qq = (qf * qf).sum(axis=1)
-    pp = (pf * pf).sum(axis=1)
+    qq = np.einsum("ij,ij->i", qf, qf)
+    pp = np.einsum("ij,ij->i", pf, pf)
     _require_finite(qq, pp)
     if kind == "cosine_normalized":
         denom = np.sqrt(np.outer(qq, pp))

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conformal_hdc.classifier import TrainedModel, prototypes_from_encoded, train_prototypes
+from conformal_hdc.classifier import (
+    TrainedModel,
+    check_class_labels,
+    class_sums,
+    prototypes_from_encoded,
+    train_prototypes,
+)
 from conformal_hdc.encoders import BinaryImageEncoder, IdentityEncoder, TrigramTextEncoder
 from conformal_hdc.synthetic import SyntheticConfig, class_centers
 
@@ -64,6 +70,61 @@ class TestTraining:
     def test_label_outside_class_range_rejected(self, bad):
         with pytest.raises(ValueError, match="range"):
             prototypes_from_encoded(np.ones((4, 4)), np.array([0, 1, 2, bad]), 3, "centroid")
+
+    @pytest.mark.parametrize("bad", [[0.0, 1.0, 2.0, 1.0], [0.7, 1.2, 2.0, 0.0], [True, False, True, False]])
+    def test_non_integer_labels_rejected(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            prototypes_from_encoded(np.ones((4, 4)), np.array(bad), 3, "centroid")
+
+    def test_label_check(self):
+        np.testing.assert_array_equal(check_class_labels(np.array([[2], [0]], dtype=np.uint8), 3), [2, 0])
+        assert check_class_labels([], 3).dtype == np.int64
+        with pytest.raises(ValueError, match="range"):
+            check_class_labels([0, -1])
+        check_class_labels([0, 7])  # no class count: only the lower bound
+
+    def test_bipolar_sums_exact_in_float32(self):
+        rng = np.random.default_rng(5)
+        labels = np.arange(3000) % 4
+        codes = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3000, 50))
+        sums, counts = class_sums(codes, labels, 4)
+        assert sums.dtype == np.float64
+        np.testing.assert_array_equal(counts, [750] * 4)
+        want = np.zeros((4, 50), dtype=np.int64)
+        np.add.at(want, labels, codes.astype(np.int64))
+        np.testing.assert_array_equal(sums, want)
+
+    @pytest.mark.parametrize("style", ["binarized", "l2_normalized_real", "raw_complex", "centroid"])
+    def test_chunked_sums_finalize_like_all_rows(self, style):
+        rng = np.random.default_rng(6)
+        labels = np.concatenate([np.arange(3), rng.integers(0, 3, size=57)])
+        if style == "raw_complex":
+            codes = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(60, 16)))
+        else:
+            codes = rng.choice(np.array([-1, 1], dtype=np.int8), size=(60, 16))
+        want = prototypes_from_encoded(codes, labels, 3, style)
+        sums, counts = 0, 0
+        for lo in range(0, 60, 7):
+            s, c = class_sums(codes[lo : lo + 7], labels[lo : lo + 7], 3)
+            sums += s
+            counts += c
+        got = prototypes_from_encoded(sums, None, 3, style, counts=counts)
+        if style == "raw_complex":  # complex sums in another order
+            np.testing.assert_allclose(got, want, rtol=0, atol=60 * np.finfo(float).eps)
+            assert not np.shares_memory(got, sums)  # adding to the sums leaves the prototypes
+        else:  # integer sums: exact
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_sums_path_checks_its_arguments(self):
+        sums, counts = class_sums(np.ones((4, 5)), np.array([0, 1, 1, 0]), 2)
+        with pytest.raises(ValueError, match="no labels"):
+            prototypes_from_encoded(sums, np.array([0, 1]), 2, "centroid", counts=counts)
+        with pytest.raises(ValueError, match="2 rows"):  # one count short
+            prototypes_from_encoded(sums, None, 2, "centroid", counts=counts[:1])
+        with pytest.raises(ValueError, match="3 rows"):
+            prototypes_from_encoded(sums, None, 3, "centroid", counts=counts)
+        with pytest.raises(ValueError, match="every class"):
+            prototypes_from_encoded(sums, None, 2, "centroid", counts=np.array([4, 0]))
 
     def test_sums_match_row_by_row_accumulation(self):
         rng = np.random.default_rng(4)

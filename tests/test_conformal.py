@@ -148,6 +148,23 @@ class TestQuantileIndex:
 
 
 class TestCalibration:
+    @pytest.mark.parametrize(
+        "labels", [[-1, 0], [0, 3], [0.7, 1.2], np.array([0.0, 1.0])], ids=["negative", "past_k", "float", "whole_floats"]
+    )
+    def test_scores_reject_labels_that_are_not_class_indices(self, labels):
+        profiles = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        with pytest.raises(ValueError):
+            calibration_scores(profiles, labels, "similarity")
+
+    def test_scores_reject_a_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            calibration_scores(np.array([[0.2, 0.8], [0.6, 0.4]]), [1], "similarity")
+
+    @pytest.mark.parametrize("labels", [[-1, 0, 1], [0, 1, 2], [0.7, 1.2, 0.0]])
+    def test_conditional_rejects_labels_that_are_not_class_indices(self, labels):
+        with pytest.raises(ValueError):
+            calibrate_conditional(np.array([0.1, 0.2, 0.3]), labels, 0.1, 2)
+
     def test_hand_examples(self):
         assert calibrate_marginal([0.1, 0.2, 0.3, 0.4], 0.25).q_hat == pytest.approx(0.4)
         scores9 = [0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6]

@@ -94,6 +94,25 @@ class TestQuantizationGrid:
         grid = QuantizationGrid.fit(np.array([[2.0], [2.0]]), levels=5)
         assert grid.quantize(np.array([2.0]))[0][0] == 0
 
+    @pytest.mark.parametrize("levels, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_levels_match_the_float_formula_in_the_smallest_dtype(self, levels, dtype):
+        rng = np.random.default_rng(levels)
+        train = rng.normal(size=(40, 7))
+        train[:, 3] = 1.5  # a constant feature
+        grid = QuantizationGrid.fit(train, levels=levels)
+        X = rng.normal(size=(300, 7)) * 1.5
+        span = grid.maxs - grid.mins
+        want = np.floor((X - grid.mins) / np.where(span > 0.0, span, 1.0) * levels)
+        want[:, span == 0.0] = 0
+        got = grid.quantize(X)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, np.clip(want, 0, levels - 1))
+
+    def test_values_past_int64_reach_the_top_level(self):
+        # clipped before the cast: a level past int64 no longer wraps to level 0
+        grid = QuantizationGrid.fit(np.array([[0.0], [1.0]]), levels=21)
+        np.testing.assert_array_equal(grid.quantize(np.array([[1e30], [-1e30]])), [[20], [0]])
+
     def test_min_le_max_enforced(self):
         with pytest.raises(ValueError):
             QuantizationGrid(mins=np.array([1.0]), maxs=np.array([0.0]), levels=3)
@@ -209,6 +228,7 @@ class TestQuantizedEncoding:
             rng.uniform(-4.0, 5.0, size=(6, p)),
         ])
         batch = enc.encode_batch(X)
+        assert batch.dtype == np.int8 and batch.flags.c_contiguous
         np.testing.assert_array_equal(batch, _quantized_sign_reference(enc, X))
         for i in range(X.shape[0]):
             np.testing.assert_array_equal(batch[i], enc.encode(X[i]).elements)
@@ -221,6 +241,22 @@ class TestQuantizedEncoding:
         X = rng.normal(size=(30, 9))
         enc.fit(X)
         np.testing.assert_array_equal(enc.encode_batch(X), _quantized_sign_reference(enc, X))
+
+    def test_batch_peak_memory(self):
+        # Beyond its input the batch holds the (d, n) float32 accumulator, the
+        # n x d int8 codes and per-level n x p temporaries: the bound below.
+        # Chained float64 quantizer temporaries, an int64 level table and a
+        # transposed copy of the signs put it 3.3 MiB higher (12.5 MiB) here.
+        n, p, d = 660, 617, 2000
+        X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(n, p))
+        enc = QuantizedFeatureEncoder(p=p, d=d, levels=21, seed=1).fit(X[:377])
+        tracemalloc.start()
+        try:
+            enc.encode_batch(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n * d + 8 * n * p + 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):

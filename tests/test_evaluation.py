@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conformal_hdc import evaluation
+from conformal_hdc.classifier import prototypes_from_encoded
 from conformal_hdc.conformal import PredictionSet
 from conformal_hdc.datasets import DatasetBundle
 from conformal_hdc.evaluation import (
@@ -21,6 +22,7 @@ from conformal_hdc.evaluation import (
     run_experiment,
     split_data,
 )
+from conformal_hdc.hypervectors import EPS, similarity_matrix
 from conformal_hdc.synthetic import SyntheticConfig, generate_synthetic
 
 
@@ -76,6 +78,19 @@ class TestMetrics:
     def test_coverage_length_mismatch(self):
         with pytest.raises(ValueError):
             empirical_coverage([make_set([0])], [0, 1])
+
+    @pytest.mark.parametrize("labels", [[0.5, 2.9], [-1, 0], [0, 3]])
+    def test_coverage_rejects_labels_that_are_not_class_indices(self, labels):
+        with pytest.raises(ValueError):
+            empirical_coverage(np.ones((2, 3), dtype=bool), labels)
+        if labels != [0, 3]:  # a sequence of sets has no class count
+            with pytest.raises(ValueError):
+                empirical_coverage([make_set([0, 2]), make_set([0, 2])], labels)
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [-1, 0]])
+    def test_point_accuracy_rejects_labels_that_are_not_class_indices(self, labels):
+        with pytest.raises(ValueError):
+            point_accuracy([make_set([0]), make_set([1])], labels)
 
     def test_size_examples(self):
         assert average_set_size([make_set([0]), make_set([1])]) == 1.0
@@ -249,14 +264,25 @@ class TestCoverageAcrossAlphas:
 
 
 def _fancy_index_repetition(config, fractions, feats, labels, ood_feats, split_ss, enc_ss, u_ss):
-    """One repetition with the rows encoded in input order and each fold copied out by fancy indexing."""
+    """One repetition with every row encoded at once and each fold copied out by fancy indexing."""
     labels = np.asarray(labels, dtype=np.int64)
+    n_classes = int(labels.max()) + 1
     train, cal, test = split_data(labels.shape[0], SplitSpec(fractions, seed=split_ss))
     encoder = evaluation._build_encoder(config, feats, train, enc_ss)
+    style, kind = evaluation._RECIPE_STYLE[config.dataset]
     encoded = encoder.encode_batch(feats)
-    encoded_ood = encoder.encode_batch(ood_feats) if len(ood_feats) else None
-    folds = [(encoded[idx], labels[idx]) for idx in (train, np.concatenate([train, cal]), cal, test)]
-    return evaluation._evaluate_folds(config, int(labels.max()) + 1, *folds, encoded_ood, u_ss)
+    full = np.concatenate([train, cal])
+    protos_train = prototypes_from_encoded(encoded[train], labels[train], n_classes, style)
+    protos_full = prototypes_from_encoded(encoded[full], labels[full], n_classes, style)
+    prof = {
+        "cal": similarity_matrix(encoded[cal], protos_train, kind),
+        "test": similarity_matrix(encoded[test], protos_train, kind),
+        "full_test": similarity_matrix(encoded[test], protos_full, kind),
+        "ood": None,
+    }
+    if len(ood_feats):
+        prof["ood"] = similarity_matrix(encoder.encode_batch(ood_feats), protos_train, kind)
+    return evaluation._evaluate_profiles(config, n_classes, prof, labels[cal], labels[test], u_ss)
 
 
 def _letters_bundle(seed=0, n_classes=6, per_class=25, p=12):
@@ -267,7 +293,23 @@ def _letters_bundle(seed=0, n_classes=6, per_class=25, p=12):
     return DatasetBundle(features, labels, [chr(ord("A") + c) for c in range(n_classes)])
 
 
-class TestRepetitionFolds:
+def _profiles_seen(monkeypatch, run):
+    """The profile arrays ``run()`` hands to the metrics, one tuple per repetition."""
+    seen = []
+    metrics = evaluation._evaluate_profiles
+
+    def record(config, n_classes, prof, *rest):
+        seen.append(tuple(prof[k] for k in ("cal", "test", "full_test", "ood")))
+        return metrics(config, n_classes, prof, *rest)
+
+    monkeypatch.setattr(evaluation, "_evaluate_profiles", record)
+    result = run()
+    monkeypatch.setattr(evaluation, "_evaluate_profiles", metrics)
+    return result, seen
+
+
+class TestStreamedRepetition:
+    @pytest.mark.parametrize("chunk_bytes", [None, 16 * 64 * 7], ids=["default", "several_chunks"])
     @pytest.mark.parametrize(
         "config, bundle",
         [
@@ -280,36 +322,44 @@ class TestRepetitionFolds:
             (ExperimentConfig(dataset="spike_surrogate", d=64, repetitions=2, seed=10), None),
         ],
     )
-    def test_fold_views_match_fancy_index_copies(self, monkeypatch, config, bundle):
-        # putting the codes in fold order and slicing the folds out as views
-        # gives, bit for bit, the metrics of copying each fold out by fancy
-        # indexing; the synthetic recipe's identity codes are its features,
-        # which are copied, so only the isolet-style and spike cases put their
-        # codes in fold order in place
-        sliced = run_experiment(config, bundle)
+    def test_matches_encoding_every_row_at_once(self, monkeypatch, config, bundle, chunk_bytes):
+        # The small budget makes chunks of 7 spike rows, 224 synthetic rows
+        # (d = 2) and 1 isolet row (d = 256), so every fold spans several.
+        if chunk_bytes is not None:
+            monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes)
+        streamed, got = _profiles_seen(monkeypatch, lambda: run_experiment(config, bundle))
         monkeypatch.setattr(evaluation, "_evaluate_repetition", _fancy_index_repetition)
-        copied = run_experiment(config, bundle)
-        assert sliced.label_names == copied.label_names
-        for a, b in zip(sliced.methods, copied.methods, strict=True):
-            for field in dataclasses.fields(a):
-                x, y = getattr(a, field.name), getattr(b, field.name)
-                if x is None or isinstance(x, str):
-                    assert x == y, field.name
+        copied, want = _profiles_seen(monkeypatch, lambda: run_experiment(config, bundle))
+        assert len(got) == len(want) == config.repetitions
+        for g, w in zip(got, want):
+            for a, b in zip(g, w, strict=True):
+                if a is None or b is None:
+                    assert a is None and b is None
+                elif config.dataset == "isolet":
+                    # bipolar codes: integer sums and dots, exact in any order
+                    assert a.tobytes() == b.tobytes()
+                elif config.dataset == "synthetic":
+                    # centroids summed in another order: the squared distances
+                    # behind the inverse-distance profiles agree within 2**-40
+                    # (seen: within 2**-42 at chunks of one row)
+                    np.testing.assert_allclose((1 / a - EPS) ** 2, (1 / b - EPS) ** 2, rtol=0, atol=2.0**-40)
                 else:
-                    assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 100])
-    def test_permute_rows_in_place(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
-        for order in (np.arange(n), np.roll(np.arange(n), 1), rng.permutation(n)):
-            b = a.copy()
-            evaluation._permute_rows(b, order)
-            np.testing.assert_array_equal(b, a[order])
+                    # complex sums and dots in another order and in other
+                    # product shapes: within 2**-40 (seen: 72 eps, about 2**-46)
+                    np.testing.assert_allclose(a, b, rtol=0, atol=2.0**-40)
+        if config.dataset == "isolet":
+            assert streamed.label_names == copied.label_names
+            for a, b in zip(streamed.methods, copied.methods, strict=True):
+                for field in dataclasses.fields(a):
+                    x, y = getattr(a, field.name), getattr(b, field.name)
+                    if x is None or isinstance(x, str):
+                        assert x == y, field.name
+                    else:
+                        assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
 
     def test_identity_codes_do_not_alias_the_features(self):
-        # the identity encoder passes its float64 input through; putting the
-        # codes in fold order in place would shuffle the caller's features
+        # the identity encoder passes its float64 input through; the
+        # repetition must leave the caller's features as they were
         feats, labels, ood = generate_synthetic(SyntheticConfig(n_per_class=(20, 20, 20), n_ood=5, seed=1))
         kept = feats.copy()
         parts = np.random.SeedSequence(3).spawn(3)
@@ -318,18 +368,22 @@ class TestRepetitionFolds:
         )
         np.testing.assert_array_equal(feats, kept)
 
-    def test_spike_repetition_peak_memory_is_the_codes(self):
-        # A repetition keeps two n x d arrays, the complex128 codes of the
-        # inliers and of the OOD pool; beyond them it holds the FPE kernel's
-        # blocks (about 4.6 MiB at d = 2048) and the trials (a few MiB). Copying
-        # the train + calibration folds out of the codes by fancy indexing
-        # added (n_train + n_cal) * d * 16 bytes (16.9 MiB here) and failed this.
-        cfg = ExperimentConfig(dataset="spike_surrogate", d=2048, repetitions=1, seed=5)
-        codes = (cfg.spike_classes * cfg.spike_per_class + cfg.spike_ood) * cfg.d * 16
-        tracemalloc.start()
-        try:
-            run_experiment(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - codes <= 10 * 2**20
+    def test_spike_repetition_peak_memory_does_not_grow_with_n(self):
+        # One repetition holds a chunk of codes (256 rows at d = 2048) besides
+        # the K x d sums and the (n, K) profiles. Holding every row's
+        # complex128 codes, as the harness once did, puts the peak at 4n about
+        # (2400 - 600) * 2048 * 16 bytes = 56 MiB above the peak at n.
+        peaks = []
+        for per_class in (150, 600):
+            cfg = ExperimentConfig(dataset="spike_surrogate", d=2048, repetitions=1, seed=5, spike_per_class=per_class)
+            data_ss, split_ss, enc_ss, u_ss = evaluation._rep_seed_parts(cfg.seed, 0)
+            feats, labels, ood, _ = evaluation._rep_data(cfg, None, data_ss)
+            tracemalloc.start()
+            try:
+                evaluation._evaluate_repetition(
+                    cfg, cfg.resolved_fractions(), feats, labels, ood, split_ss, enc_ss, u_ss
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks

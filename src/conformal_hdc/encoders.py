@@ -68,22 +68,27 @@ _VOCABULARY_TABLE[[ord(c) for c in TEXT_VOCABULARY]] = np.arange(len(TEXT_VOCABU
 #: The FPE kernel's table of unit phasors exp(2 pi i k / N) has N = 4096 entries (64 KiB).
 _PHASOR_STEPS = 4096
 _STEP = 2.0 * np.pi / _PHASOR_STEPS
-#: 2 pi / N as hi + lo: hi keeps 21 significant bits, so k * hi is exact for
-#: |k| < 2**31; lo carries the rest, including pi's own float64 rounding.
-_STEP_HI = float(np.ldexp(np.floor(np.ldexp(_STEP, 30)), -30))
-_STEP_LO = (_STEP - _STEP_HI) + 1.2246467991473532e-16 * 2.0 / _PHASOR_STEPS
-#: Phases at or beyond this magnitude have |k| >= 2**31 and are rejected.
+#: Phases at or beyond this magnitude are 2**31 or more table steps and are rejected.
 _PHASE_LIMIT = 2.0**31 * _STEP
+#: Adding 1.5 * 2**52 to |u| < 2**51 rounds u to an integer k, half to even
+#: (the sum's unit in the last place is 1), and leaves 2**51 + k in the low
+#: bits of the sum's float64 representation.
+_ROUND_SHIFT = 1.5 * 2.0**52
+#: exp(i r STEP) = (1 - C2 r^2 + C4 r^4) + i r (C1 - C3 r^2) with Cn = STEP**n / n!.
+_C1, _C2, _C3, _C4 = _STEP, _STEP**2 / 2.0, _STEP**3 / 6.0, _STEP**4 / 24.0
 
 
 def _unit_phasor_table() -> np.ndarray:
     # exp(2 pi i k / N) = i**q exp(i m step) with |m| <= N/8, so libm only sees
-    # angles below pi/4, each formed from m * hi (exact) plus m * lo.
+    # angles below pi/4, each formed from m * hi (exact) plus m * lo: hi keeps
+    # 21 significant bits of the step, lo the rest, including pi's own rounding.
+    step_hi = float(np.ldexp(np.floor(np.ldexp(_STEP, 30)), -30))
+    step_lo = (_STEP - step_hi) + 1.2246467991473532e-16 * 2.0 / _PHASOR_STEPS
     k = np.arange(_PHASOR_STEPS)
     quarter = _PHASOR_STEPS // 4
     m = (k + quarter // 2) % quarter - quarter // 2
     q = (k - m) // quarter % 4
-    angle = m * _STEP_HI + m * _STEP_LO
+    angle = m * step_hi + m * step_lo
     c, s = np.cos(angle), np.sin(angle)
     table = np.empty(_PHASOR_STEPS, dtype=np.complex128)
     table.real = np.choose(q, [c, -s, -c, s])
@@ -349,60 +354,68 @@ def encode_fpe(x, proj: FpeProjection) -> ComplexHypervector:
     return ComplexHypervector(proj.phases(x))
 
 
+def _split_steps(u: np.ndarray, k: np.ndarray, index: np.ndarray) -> None:
+    """Split phases ``u`` in table steps into k + r, with u overwritten by r.
+
+    k = rint(u) (half to even) goes to the float64 ``k``, k mod N to the intp
+    ``index``, and r = u - k, exact and within [-1/2, 1/2], replaces u.
+    Raises ValueError, with u left as it was, when some |k| reaches 2**31
+    steps (a phase of _PHASE_LIMIT radians) or some u is not finite.
+    """
+    np.add(u, _ROUND_SHIFT, out=k)
+    np.bitwise_and(k.view(np.int64), _PHASOR_STEPS - 1, out=index)
+    k -= _ROUND_SHIFT
+    if not (k.max() < 2.0**31 and k.min() > -(2.0**31)):
+        raise ValueError(f"FPE phase magnitude reaches the limit {_PHASE_LIMIT:.6g} rad")
+    u -= k
+
+
 def _add_unit_phasors(
-    theta: np.ndarray, out: np.ndarray, work: np.ndarray, index: np.ndarray, terms: np.ndarray
+    u: np.ndarray, out: np.ndarray, work: np.ndarray, index: np.ndarray, terms: np.ndarray
 ) -> None:
-    """Add exp(i theta) into the complex ``out``, element by element.
+    """Add exp(2 pi i u / N) into the complex ``out``, element by element; ``u`` is in table steps.
 
-    exp(i theta) = U[k mod N] exp(i r) with k = rint(theta N / 2 pi), U the
-    table of N unit phasors and |r| <= pi / N, where exp(i r) =
-    (1 - r^2/2 + r^4/24) + i (r - r^3/6) drops terms below 2.3e-18; r is
-    reduced as (theta - k hi) - k lo. Each phasor is within about 1 eps of
-    exact (libm's cos and sin: 0.25 eps, half an ulp). Raises ValueError when
-    some |theta| reaches _PHASE_LIMIT, beyond which the reduction is not exact.
+    exp(2 pi i u / N) = U[k mod N] exp(i r STEP) with u = k + r split by
+    ``_split_steps``, U the table of N unit phasors and STEP = 2 pi / N, where
+    exp(i r STEP) = (1 - C2 r^2 + C4 r^4) + i r (C1 - C3 r^2) drops terms
+    below 2.3e-18. Each phasor is within about 1 eps of exact (libm's cos and
+    sin: 0.25 eps, half an ulp). Raises ValueError, as ``_split_steps`` does,
+    before ``out`` changes.
 
-    Buffers of theta's shape, all overwritten along with ``theta``: ``work``
-    holds three float64 arrays, ``index`` is intp and ``terms`` holds two
+    Buffers of u's shape, all overwritten along with ``u``: ``work`` holds
+    three float64 arrays, ``index`` is intp and ``terms`` holds two
     complex128 arrays.
     """
     k, c, s = work
     table_term, poly_term = terms
-    np.multiply(theta, 1.0 / _STEP, out=k)
-    np.rint(k, out=k)
-    if not (k.max() < 2.0**31 and k.min() > -(2.0**31)):
-        raise ValueError(f"FPE phase magnitude reaches the limit {_PHASE_LIMIT:.6g} rad")
-    np.copyto(index, k, casting="unsafe")
-    index &= _PHASOR_STEPS - 1
-    # index is in range, and mode="clip" skips the bounds check "raise" makes
-    np.take(_UNIT_PHASORS, index, out=table_term, mode="clip")
-    np.multiply(k, _STEP_HI, out=c)
-    theta -= c
-    np.multiply(k, _STEP_LO, out=c)
-    theta -= c
-    r, r2 = theta, k
+    _split_steps(u, k, index)
+    # index is in range; mode="wrap" is the cheapest of the three modes here
+    np.take(_UNIT_PHASORS, index, out=table_term, mode="wrap")
+    r, r2 = u, k
     np.multiply(r, r, out=r2)
-    np.multiply(r2, 1.0 / 24.0, out=c)
-    c -= 0.5
+    np.multiply(r2, _C4, out=c)
+    c -= _C2
     c *= r2
     np.add(c, 1.0, out=poly_term.real)
-    np.multiply(r2, -1.0 / 6.0, out=s)
-    s += 1.0
+    np.multiply(r2, -_C3, out=s)
+    s += _C1
     np.multiply(s, r, out=poly_term.imag)
     table_term *= poly_term
     out += table_term
 
 
 def _fpe_factor(proj: FpeProjection, bank: PositionBank, t: int) -> np.ndarray:
-    """A = [beta W^T; rho^1 P; ...; rho^t P], the read-only right factor of the FPE kernel.
+    """A = [beta W^T; rho^1 P; ...; rho^t P] N / (2 pi), the read-only right factor of the FPE kernel.
 
-    It has p + t rows and d columns, zero-padded to a multiple of 8 (see
-    ``_fpe_superpose``).
+    Its products are phases in table steps. It has p + t rows and d columns,
+    zero-padded to a multiple of 8 (see ``_fpe_superpose``).
     """
     p, d = proj.p, proj.d
     A = np.zeros((p + t, -(-d // 8) * 8))
     np.multiply(proj.W.T, proj.beta, out=A[:p, :d])
     for j in range(1, t + 1):
         A[p + j - 1, :d] = bank.phases_for_bin(j)
+    A *= 1.0 / _STEP
     A.setflags(write=False)
     return A
 
@@ -415,12 +428,12 @@ def _fpe_superpose(X: np.ndarray, factor: np.ndarray, d: int) -> np.ndarray:
     Rows are walked in blocks of max(2, 2**15 // d) rows, a fixed rule: the
     t bins' phases of a block (at most 2 MiB at t = 8 while d <= 2**14) stay
     in a core's L2 cache, and the temporaries do not grow with n. All of a
-    block's phases come from one product L @ A, where row (j, r) of L is
-    [X[r, :, j] | e_j] and e_j is the one-hot row of bin j; this folds the
-    beta scale and the positional add into the product, and as the 1 * P
-    and 0 * P terms are exact, each phase is still a rounded sum of p + 1
-    nonzero terms. Each bin's unit phasors are then added into the output
-    (``_add_unit_phasors``).
+    block's phases, in table steps, come from one product L @ A, where row
+    (j, r) of L is [X[r, :, j] | e_j] and e_j is the one-hot row of bin j;
+    this folds the beta scale, the scale to table steps and the positional
+    add into the product, and as the 1 * P and 0 * P terms are exact, each
+    phase is still a rounded sum of p + 1 nonzero terms. Each bin's unit
+    phasors are then added into the output (``_add_unit_phasors``).
 
     A row's phases must not depend on its place in the product, or a single
     input would encode unlike its row in a batch. So every product has the

@@ -125,19 +125,28 @@ def _as_inclusion(sets):
     return None
 
 
+def _class_count(sets) -> int | None:
+    """K shared by a sequence of prediction sets (the length of their scores); None when empty."""
+    counts = {s.scores.shape[0] for s in sets}
+    if len(counts) > 1:
+        raise ValueError(f"prediction sets differ in class count: {sorted(counts)}")
+    return counts.pop() if counts else None
+
+
 def empirical_coverage(sets, labels) -> float:
     """Fraction of samples whose true label is in their prediction set.
 
-    ``sets`` is an (n, K) inclusion matrix, whose K bounds the labels, or a
-    sequence of prediction sets.
+    ``sets`` is an (n, K) inclusion matrix or a sequence of ``PredictionSet``
+    of K scores each; K bounds the labels.
     """
     matrix = _as_inclusion(sets)
-    labels = check_class_labels(labels, None if matrix is None else matrix.shape[1])
     if matrix is not None:
+        labels = check_class_labels(labels, matrix.shape[1])
         if matrix.shape[0] != labels.shape[0]:
             raise ValueError("sets and labels must have equal length")
         return float(matrix[np.arange(labels.shape[0]), labels].mean())
     sets = list(sets)
+    labels = check_class_labels(labels, _class_count(sets))
     if len(sets) != labels.shape[0]:
         raise ValueError("sets and labels must have equal length")
     hits = sum(1 for s, y in zip(sets, labels) if y in s)
@@ -161,10 +170,11 @@ def point_accuracy(preds, labels, count_empty_as_error: bool = True) -> float:
     """Fraction correct among size-<=1 prediction sets.
 
     Empty predictions count as errors when the flag is set (the default on
-    inlier test data) and are skipped otherwise.
+    inlier test data) and are skipped otherwise. ``preds`` are
+    ``PredictionSet`` of K scores each; K bounds the labels.
     """
-    labels = check_class_labels(labels)
     preds = list(preds)
+    labels = check_class_labels(labels, _class_count(preds))
     if len(preds) != labels.shape[0]:
         raise ValueError("predictions and labels must have equal length")
     correct = 0

@@ -1,6 +1,8 @@
 """Encoders: fixed-point examples, Monte-Carlo sanity, and determinism."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hdc.encoders import (
-    _PHASE_LIMIT,
     _PHASOR_STEPS,
     TEXT_VOCABULARY,
     BinaryImageEncoder,
@@ -21,6 +22,7 @@ from conformal_hdc.encoders import (
     TemporalFpeEncoder,
     TrigramTextEncoder,
     _add_unit_phasors,
+    _split_steps,
     encode_fpe,
     encode_identity,
     encode_image_binary,
@@ -426,42 +428,58 @@ class TestFpeEncoding:
             encode_fpe(np.zeros(4), proj)
 
 
-def _unit_phasors(theta, out=None):
-    """exp(i theta) from the FPE kernel's phasor step, added into ``out`` (zeros by default)."""
-    theta = np.array(theta, dtype=np.float64)
-    out = np.zeros(theta.shape, dtype=np.complex128) if out is None else out.copy()
-    work = np.empty((3,) + theta.shape)
-    terms = np.empty((2,) + theta.shape, dtype=np.complex128)
-    _add_unit_phasors(theta, out, work, np.empty(theta.shape, dtype=np.intp), terms)
+def _unit_phasors(u, out=None):
+    """exp(2 pi i u / N) from the FPE kernel's phasor step, u in table steps, added into ``out`` (zeros by default)."""
+    u = np.array(u, dtype=np.float64)
+    out = np.zeros(u.shape, dtype=np.complex128) if out is None else out.copy()
+    work = np.empty((3,) + u.shape)
+    terms = np.empty((2,) + u.shape, dtype=np.complex128)
+    _add_unit_phasors(u, out, work, np.empty(u.shape, dtype=np.intp), terms)
     return out
 
 
-class TestUnitPhasors:
-    STEP = 2.0 * np.pi / _PHASOR_STEPS
+#: pi to about 1e-32: the float64 pi plus the float64 of its remainder
+_PI = Fraction(math.pi) + Fraction(1.2246467991473532e-16)
 
-    def test_matches_libm(self):
+
+def _exact_unit_phasor(u: float) -> tuple[float, float]:
+    """cos and sin of 2 pi u / N, reduced exactly: libm sees only the remaining angle, at most pi / 4."""
+    quarter = Fraction(_PHASOR_STEPS // 4)
+    v = Fraction(u) % _PHASOR_STEPS
+    q = round(v / quarter)
+    angle = float((v - q * quarter) * 2 * _PI / _PHASOR_STEPS)
+    c, s = math.cos(angle), math.sin(angle)
+    return [(c, s), (-s, c), (-c, -s), (s, -c)][q % 4]
+
+
+class TestUnitPhasors:
+    def test_matches_exact_reduction(self):
         rng = np.random.default_rng(30)
-        m = np.arange(-3 * _PHASOR_STEPS, 3 * _PHASOR_STEPS)
+        m = np.arange(-3 * _PHASOR_STEPS, 3 * _PHASOR_STEPS, dtype=np.float64)
         sign = rng.choice([-1.0, 1.0], size=2000)
-        theta = np.concatenate([
-            (m + 0.5) * self.STEP,  # half-step boundaries, where |r| = pi / N
-            m * self.STEP,  # table entries
-            rng.uniform(-50.0, 50.0, size=5000),
-            [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-12, -1e-8, np.pi, -np.pi, 2.0 * np.pi],
-            sign * rng.uniform(1e4, 1e6, size=2000),
-            sign * _PHASE_LIMIT * (1.0 - rng.uniform(1e-9, 1e-3, size=2000)),  # near the limit
+        limit = 2.0**31
+        u = np.concatenate([
+            m + 0.5,  # half-step boundaries, where |r| = 1/2
+            m,  # table entries
+            rng.uniform(-33_000.0, 33_000.0, size=5000),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-9, -1e-5, 1024.0, -2048.0, 4096.0],
+            sign * rng.uniform(6e6, 6e8, size=2000),
+            sign * limit * (1.0 - rng.uniform(1e-9, 1e-3, size=2000)),  # near the limit
+            [limit - 0.5 - 2.0**-22, -(limit - 0.5 - 2.0**-22), limit - 1.0, 1.0 - limit],
         ])
-        got = _unit_phasors(theta)
+        got = _unit_phasors(u)
+        want = np.array([_exact_unit_phasor(x) for x in u.tolist()])
         eps = np.finfo(np.float64).eps
-        assert np.max(np.abs(got.real - np.cos(theta))) <= 4 * eps
-        assert np.max(np.abs(got.imag - np.sin(theta))) <= 4 * eps
+        assert np.max(np.abs(got.real - want[:, 0])) <= 4 * eps
+        assert np.max(np.abs(got.imag - want[:, 1])) <= 4 * eps
 
     def test_adds_into_output(self):
-        theta = np.random.default_rng(31).uniform(-10.0, 10.0, size=(3, 7))
+        u = np.random.default_rng(31).uniform(-7000.0, 7000.0, size=(3, 7))
         start = np.full((3, 7), 2.0 - 1.0j)
-        np.testing.assert_allclose(_unit_phasors(theta, start), start + np.exp(1j * theta), atol=1e-15)
+        want = start + np.exp(2j * np.pi * u / _PHASOR_STEPS)
+        np.testing.assert_allclose(_unit_phasors(u, start), want, atol=1e-15)
 
-    @pytest.mark.parametrize("bad", [_PHASE_LIMIT, -_PHASE_LIMIT, 1e300])
+    @pytest.mark.parametrize("bad", [2.0**31, -(2.0**31), 2.0**31 - 0.5, 1e300, np.inf, np.nan])
     def test_phase_beyond_limit_rejected(self, bad):
         with pytest.raises(ValueError, match="limit"):
             _unit_phasors([0.0, bad, 1.0])
@@ -471,6 +489,50 @@ class TestUnitPhasors:
         X = np.full((1, 2, 2), 1e9)
         with pytest.raises(ValueError, match="limit"):
             enc.encode_batch(X)
+
+
+def _bits(x):
+    # float64 bit patterns, with -0.0 read as +0.0
+    return (np.asarray(x, dtype=np.float64) + 0.0).view(np.int64)
+
+
+class TestSplitSteps:
+    """k = rint(u) by the 1.5 * 2**52 shift: index = k mod N, and u becomes u - k."""
+
+    @example(values=[0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 4095.5, -4096.5])
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 0.49999999999999994, -0.49999999999999994])
+    @example(values=[2.0**31 - 0.5 - 2.0**-22, 0.5 + 2.0**-22 - 2.0**31, 2.0**31 - 1.5, 1.5 - 2.0**31])
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(0.5 - 2.0**31, 2.0**31 - 0.5, exclude_min=True, exclude_max=True),
+                st.integers(1 - 2**31, 2**31 - 2).map(lambda i: i + 0.5),  # ties
+                st.floats(0.5 - 2.0**31, -(2.0**30), exclude_min=True),  # large negative
+                st.floats(-1.0, 1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_split_is_rint(self, values):
+        u = np.array(values, dtype=np.float64)
+        want_k = np.rint(u)
+        r = u.copy()
+        k = np.empty_like(u)
+        index = np.empty(u.shape, dtype=np.intp)
+        _split_steps(r, k, index)
+        np.testing.assert_array_equal(k, want_k)
+        np.testing.assert_array_equal(index, want_k.astype(np.int64) % _PHASOR_STEPS)
+        np.testing.assert_array_equal(_bits(r), _bits(u - want_k))
+
+    @pytest.mark.parametrize("bad", [2.0**31 - 0.5, -(2.0**31) - 1.0, np.inf, -np.inf, np.nan])
+    def test_rejection_leaves_phases_unchanged(self, bad):
+        u = np.array([3.25, bad, -7.5])
+        r = u.copy()
+        with pytest.raises(ValueError, match="limit"):
+            _split_steps(r, np.empty(3), np.empty(3, dtype=np.intp))
+        np.testing.assert_array_equal(r, u)
 
 
 class TestTemporalEncoding:

@@ -79,18 +79,31 @@ class TestMetrics:
         with pytest.raises(ValueError):
             empirical_coverage([make_set([0])], [0, 1])
 
-    @pytest.mark.parametrize("labels", [[0.5, 2.9], [-1, 0], [0, 3]])
+    @pytest.mark.parametrize("labels", [[0.5, 2.9], [-1, 0], [0, 3], [0, 7]])
     def test_coverage_rejects_labels_that_are_not_class_indices(self, labels):
         with pytest.raises(ValueError):
             empirical_coverage(np.ones((2, 3), dtype=bool), labels)
-        if labels != [0, 3]:  # a sequence of sets has no class count
-            with pytest.raises(ValueError):
-                empirical_coverage([make_set([0, 2]), make_set([0, 2])], labels)
+        # a sequence of sets takes K from its scores
+        with pytest.raises(ValueError):
+            empirical_coverage([make_set([0, 2]), make_set([0, 2])], labels)
 
-    @pytest.mark.parametrize("labels", [[0.0, 1.0], [-1, 0]])
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [-1, 0], [0, 3], [0, 7]])
     def test_point_accuracy_rejects_labels_that_are_not_class_indices(self, labels):
         with pytest.raises(ValueError):
             point_accuracy([make_set([0]), make_set([1])], labels)
+
+    def test_label_below_class_count_of_the_scores_is_graded(self):
+        # K = 5 from the scores, though no set holds label 4
+        sets = [make_set([0], k=5), make_set([1], k=5)]
+        assert empirical_coverage(sets, [0, 4]) == 0.5
+        assert point_accuracy(sets, [0, 4]) == 0.5
+
+    def test_sets_with_different_class_counts_rejected(self):
+        sets = [make_set([0], k=3), make_set([0], k=4)]
+        with pytest.raises(ValueError, match="class count"):
+            empirical_coverage(sets, [0, 0])
+        with pytest.raises(ValueError, match="class count"):
+            point_accuracy(sets, [0, 0])
 
     def test_size_examples(self):
         assert average_set_size([make_set([0]), make_set([1])]) == 1.0

@@ -42,6 +42,34 @@ _STYLE_REPRESENTATIONS = {
     "raw_complex": ("complex",),
 }
 
+#: Bytes of codes in one chunk of rows, at 16 per element (a complex128 code,
+#: or an int8 one with its float temporaries).
+_CHUNK_BYTES = 8 * 2**20
+
+
+def _chunk_rows(d: int) -> int:
+    """Rows encoded at once by the library and the experiment harness.
+
+    It follows from d alone, so their memory does not grow with the number
+    of rows.
+    """
+    return max(1, _CHUNK_BYTES // (16 * d))
+
+
+def _as_rows(X):
+    """A batch as something to slice by rows, with ``len`` its row count.
+
+    Lists and tuples (of texts, or of samples) are kept. Anything else is
+    read as an array; a single sample of numbers becomes a batch of one, as
+    ``encode_batch`` reads it. A bare string is not a batch.
+    """
+    if isinstance(X, str):
+        raise TypeError("a batch is a sequence of samples, not one string")
+    if isinstance(X, (list, tuple)) and (not X or isinstance(X[0], str) or np.ndim(X[0]) > 0):
+        return X
+    X = np.asarray(X)
+    return X if X.ndim >= 2 or X.dtype.kind in "OSU" else X.reshape(1, -1)
+
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
@@ -68,9 +96,18 @@ class TrainedModel:
         return self.prototypes.shape[0]
 
     def similarity_profiles(self, X) -> np.ndarray:
-        """(n, K) similarities of encoded queries against all prototypes."""
-        encoded = self.encoder.encode_batch(X)
-        return similarity_matrix(encoded, self.prototypes, self.similarity_kind)
+        """(n, K) similarities of encoded queries against all prototypes.
+
+        Rows are encoded and profiled ``_chunk_rows(d)`` at a time, so no
+        more than one chunk's codes are held at once.
+        """
+        X = _as_rows(X)
+        rows = _chunk_rows(self.encoder.d)
+        out = np.empty((len(X), self.n_classes))
+        for lo in range(0, max(len(X), 1), rows):  # an empty batch still goes to encode_batch
+            codes = self.encoder.encode_batch(X[lo : lo + rows])
+            out[lo : lo + rows] = similarity_matrix(codes, self.prototypes, self.similarity_kind)
+        return out
 
     def similarity_profile(self, x) -> np.ndarray:
         """Length-K similarity profile for a single input."""
@@ -177,7 +214,8 @@ def train_prototypes(
 
     Labels may take arbitrary values; they are re-indexed to a dense range
     internally, with the sorted original values kept for reporting. Every
-    class must contribute at least one sample.
+    class must contribute at least one sample. Rows are encoded and added
+    to the class sums ``_chunk_rows(d)`` at a time.
     """
     representation = getattr(encoder, "representation", None)
     if style not in PROTOTYPE_STYLES:
@@ -191,8 +229,18 @@ def train_prototypes(
     if labels.size == 0:
         raise ValueError("training data is empty")
     classes, dense = np.unique(labels, return_inverse=True)
-    encoded = encoder.encode_batch(features)
-    prototypes = prototypes_from_encoded(encoded, dense, classes.shape[0], style)
+    features = _as_rows(features)
+    # checked up front: chunks would pair rows with labels only up to the shorter
+    if len(features) != dense.shape[0]:
+        raise ValueError("feature/label counts differ")
+    rows = _chunk_rows(encoder.d)
+    sums, counts = 0, 0  # the first += makes them arrays of class_sums's dtypes
+    for lo in range(0, len(features), rows):
+        codes = encoder.encode_batch(features[lo : lo + rows])
+        s, c = class_sums(codes, dense[lo : lo + rows], classes.shape[0])
+        sums += s
+        counts += c
+    prototypes = prototypes_from_encoded(sums, None, classes.shape[0], style, counts=counts)
 
     return TrainedModel(
         encoder=encoder,

@@ -492,6 +492,19 @@ def encode_identity(x) -> RealAccumulator:
     return RealAccumulator(np.asarray(x, dtype=np.float64))
 
 
+def _bipolar_sign(sums: np.ndarray) -> np.ndarray:
+    """int8 sign of real sums with the tie 0 -> +1.
+
+    Written as 0/1 into the codes' own bytes, then mapped to -1/+1, so the
+    only array made is the int8 result.
+    """
+    codes = np.empty(sums.shape, dtype=np.int8)
+    np.greater_equal(sums, 0, out=codes.view(np.bool_))
+    codes *= 2
+    codes -= 1
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # Encoder objects: hold the fitted state, expose batch encoding for training.
 # ---------------------------------------------------------------------------
@@ -541,8 +554,7 @@ class BinaryImageEncoder:
             raise ValueError(f"expected {self.p} pixels, got {X.shape[1]}")
         if not np.all((X == 0) | (X == 1)):
             raise ValueError("pixels must be binary (threshold upstream)")
-        sums = X.astype(np.float32) @ self.im.vectors.astype(np.float32)
-        return np.where(sums >= 0, 1, -1).astype(np.int8)
+        return _bipolar_sign(X.astype(np.float32) @ self.im.vectors.astype(np.float32))
 
     def state(self) -> dict:
         return {"type": "binary_image", "p": self.p, "d": self.d, "seed": self.seed}
@@ -599,12 +611,7 @@ class QuantizedFeatureEncoder:
             reached = (q >= v).astype(np.float32)
             acc[cols] += (ids[:, cols].T.astype(np.float32) @ reached.T) * step[cols, None]
         del q, reached
-        # sign with the tie 0 -> +1, written as 0/1 into the codes' own bytes, then mapped to -1/+1
-        codes = np.empty((X.shape[0], self.d), dtype=np.int8)
-        np.greater_equal(acc.T, 0, out=codes.view(np.bool_))
-        codes *= 2
-        codes -= 1
-        return codes
+        return _bipolar_sign(acc.T)
 
     def state(self) -> dict:
         grid = self.grid

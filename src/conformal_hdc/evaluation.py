@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import datasets as _datasets
-from .classifier import check_class_labels, class_sums, prototypes_from_encoded
+from .classifier import _chunk_rows, check_class_labels, class_sums, prototypes_from_encoded
 from .conformal import (
     SCORE_KINDS,
     calibrate_conditional,
@@ -141,11 +141,15 @@ def empirical_coverage(sets, labels) -> float:
     """
     matrix = _as_inclusion(sets)
     if matrix is not None:
+        if matrix.shape[0] == 0:
+            raise ValueError("need at least one prediction set")
         labels = check_class_labels(labels, matrix.shape[1])
         if matrix.shape[0] != labels.shape[0]:
             raise ValueError("sets and labels must have equal length")
         return float(matrix[np.arange(labels.shape[0]), labels].mean())
     sets = list(sets)
+    if not sets:
+        raise ValueError("need at least one prediction set")
     labels = check_class_labels(labels, _class_count(sets))
     if len(sets) != labels.shape[0]:
         raise ValueError("sets and labels must have equal length")
@@ -483,16 +487,10 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
     )
 
 
-#: Bytes of codes in one chunk of a repetition's rows, at 16 per element (a
-#: complex128 code, or an int8 one with its float temporaries). The rows per
-#: chunk follow from d alone, so a repetition's memory does not grow with n.
-_CHUNK_BYTES = 8 * 2**20
-
-
 def _evaluate_repetition(
     config: ExperimentConfig, fractions, feats, labels, ood_feats, split_ss, enc_ss, u_ss
 ) -> Dict[str, dict]:
-    """Metrics per method from one pass over the rows in fold order, a chunk at a time.
+    """Metrics per method from one pass over the rows in fold order, ``_chunk_rows(d)`` at a time.
 
     Only the K x d class sums and the (n, K) profiles outlive a chunk.
     """
@@ -501,7 +499,7 @@ def _evaluate_repetition(
     train_idx, cal_idx, test_idx = split_data(labels.shape[0], SplitSpec(fractions, seed=split_ss))
     encoder = _build_encoder(config, feats, train_idx, enc_ss)
     style, sim_kind = _RECIPE_STYLE[config.dataset]
-    rows = max(1, _CHUNK_BYTES // (16 * encoder.d))
+    rows = _chunk_rows(encoder.d)
     sums, counts = 0, 0  # the first += makes them arrays of class_sums's dtypes
     prof = {"cal": [], "test": [], "full_test": [], "ood": []}
     folds = (("train", feats, train_idx), ("cal", feats, cal_idx), ("test", feats, test_idx))

@@ -330,7 +330,10 @@ def similarity_matrix(queries: np.ndarray, prototypes: np.ndarray, kind: str) ->
 
     if kind == "hamming_similarity":
         _require_finite(q, p)
-        mismatches = (q[:, None, :] != p[None, :, :]).sum(axis=2)
+        # one prototype at a time: an (n, d) mask, not an (n, K, d) one
+        mismatches = np.empty((q.shape[0], p.shape[0]), dtype=np.int64)
+        for k, row in enumerate(p):
+            mismatches[:, k] = np.count_nonzero(q != row, axis=1)
         return 1.0 - mismatches / q.shape[1]
 
     qf = q.astype(np.float64, copy=False)

@@ -1,8 +1,11 @@
 """Prototype training and argmax-similarity prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conformal_hdc import classifier
 from conformal_hdc.classifier import (
     TrainedModel,
     check_class_labels,
@@ -11,12 +14,18 @@ from conformal_hdc.classifier import (
     train_prototypes,
 )
 from conformal_hdc.encoders import BinaryImageEncoder, IdentityEncoder, TrigramTextEncoder
+from conformal_hdc.hypervectors import similarity_matrix
 from conformal_hdc.synthetic import SyntheticConfig, class_centers
 
 
 def identity_model(feats, labels, kind="inverse_euclidean", style="centroid"):
     enc = IdentityEncoder(p=np.asarray(feats).shape[1])
     return train_prototypes(feats, labels, enc, style, kind)
+
+
+def random_texts(rng, n, length=128):
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz "))
+    return ["".join(row) for row in rng.choice(letters, size=(n, length))]
 
 
 class TestTraining:
@@ -232,3 +241,72 @@ class TestModelSurface:
         model = identity_model(feats, [0, 1, 2, 0, 1, 2])
         with pytest.raises(ValueError):
             model.similarity_profile(feats)  # batch passed where sample expected
+
+
+class TestStreaming:
+    """train_prototypes and similarity_profiles encode a chunk of rows at a time."""
+
+    @pytest.fixture
+    def chunks_of_7(self, monkeypatch):
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 16 * 64 * 7)  # 7 rows at d = 64
+
+    @pytest.mark.parametrize("style", ["binarized", "l2_normalized_real", "centroid"])
+    def test_bipolar_prototypes_equal_one_shot(self, chunks_of_7, style):
+        enc = BinaryImageEncoder(p=12, d=64, seed=8)
+        rng = np.random.default_rng(8)
+        X = (rng.uniform(size=(40, 12)) > 0.5).astype(np.uint8)
+        y = np.concatenate([np.arange(3), rng.integers(0, 3, size=37)])
+        model = train_prototypes(X, y, enc, style, "cosine_normalized")
+        want = prototypes_from_encoded(enc.encode_batch(X), y, 3, style)  # 40 rows, 6 chunks above
+        assert model.prototypes.dtype == want.dtype and model.prototypes.tobytes() == want.tobytes()
+
+    def test_profiles_equal_one_shot(self, chunks_of_7):
+        enc = TrigramTextEncoder(d=64, seed=9)
+        rng = np.random.default_rng(9)
+        texts = random_texts(rng, 30, length=20)
+        model = train_prototypes(texts, np.arange(30) % 3, enc, "binarized", "cosine_normalized")
+        want = similarity_matrix(enc.encode_batch(texts), model.prototypes, "cosine_normalized")
+        # bipolar codes and prototypes: integer dots, exact in any chunking
+        assert model.similarity_profiles(texts).tobytes() == want.tobytes()
+        assert model.similarity_profiles(np.array(texts, dtype=object)).tobytes() == want.tobytes()
+
+    def test_single_sample_of_numbers_is_a_batch_of_one(self, chunks_of_7):
+        model = identity_model(np.eye(3, 20), [0, 1, 2])
+        row = np.arange(20.0)
+        np.testing.assert_array_equal(model.similarity_profiles(row), model.similarity_profiles(row[None]))
+        np.testing.assert_array_equal(model.similarity_profiles(list(row)), model.similarity_profiles(row[None]))
+        assert model.similarity_profiles(np.zeros((0, 20))).shape == (0, 3)
+
+    @pytest.mark.parametrize("n_features, n_labels", [(7, 8), (14, 15), (15, 14), (0, 3)])
+    def test_feature_label_count_mismatch_rejected(self, chunks_of_7, n_features, n_labels):
+        enc = BinaryImageEncoder(p=4, d=64, seed=1)
+        X = np.ones((n_features, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="feature/label counts differ"):
+            train_prototypes(X, np.arange(n_labels) % 2, enc, "binarized", "cosine_normalized")
+
+    def test_bare_string_and_empty_batch_rejected(self, chunks_of_7):
+        enc = TrigramTextEncoder(d=64, seed=2)
+        with pytest.raises(TypeError):
+            train_prototypes("ab", [0, 1], enc, "binarized", "cosine_normalized")
+        model = train_prototypes(["hello there", "more text"], [0, 1], enc, "binarized", "cosine_normalized")
+        with pytest.raises(ValueError, match="empty batch"):
+            model.similarity_profiles([])
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # A chunk at d = 2048 is 256 rows. Encoding every row at once, as the
+        # library once did, holds a float64 copy of all codes for the
+        # profiles: (1200 - 300) * 2048 * 8 bytes = 14 MiB more at 4n.
+        rng = np.random.default_rng(10)
+        texts = random_texts(rng, 1200)
+        labels = np.arange(1200) % 4
+        peaks = []
+        for n in (300, 1200):
+            enc = TrigramTextEncoder(d=2048, seed=11)
+            tracemalloc.start()
+            try:
+                model = train_prototypes(texts[:n], labels[:n], enc, "l2_normalized_real", "cosine_normalized")
+                model.similarity_profiles(texts[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_hdc import evaluation
+from conformal_hdc import classifier, evaluation
 from conformal_hdc.classifier import prototypes_from_encoded
 from conformal_hdc.conformal import PredictionSet
 from conformal_hdc.datasets import DatasetBundle
@@ -74,6 +74,11 @@ class TestMetrics:
     def test_coverage_hand_count(self):
         sets = [make_set([0]), make_set([1]), make_set([0])]
         assert empirical_coverage(sets, [0, 0, 0]) == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("sets", [[], np.zeros((0, 3), dtype=bool)], ids=["sequence", "matrix"])
+    def test_coverage_of_no_sets_rejected(self, sets):
+        with pytest.raises(ValueError, match="at least one prediction set"):
+            empirical_coverage(sets, [])
 
     def test_coverage_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -339,7 +344,7 @@ class TestStreamedRepetition:
         # The small budget makes chunks of 7 spike rows, 224 synthetic rows
         # (d = 2) and 1 isolet row (d = 256), so every fold spans several.
         if chunk_bytes is not None:
-            monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(classifier, "_CHUNK_BYTES", chunk_bytes)
         streamed, got = _profiles_seen(monkeypatch, lambda: run_experiment(config, bundle))
         monkeypatch.setattr(evaluation, "_evaluate_repetition", _fancy_index_repetition)
         copied, want = _profiles_seen(monkeypatch, lambda: run_experiment(config, bundle))

@@ -284,6 +284,16 @@ class TestSimilarityMatrix:
                     )
                     assert mat[i, j] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n, k, d", [(1, 1, 5), (17, 5, 33), (40, 10, 64)])
+    def test_hamming_matches_broadcast_mismatch_count(self, n, k, d):
+        rng = np.random.default_rng(n * k * d)
+        Q = rng.integers(0, 2, size=(n, d), dtype=np.int8) * 2 - 1
+        P = rng.integers(0, 2, size=(k, d), dtype=np.int8) * 2 - 1
+        R = rng.integers(-2, 3, size=(n, d)).astype(np.float64)  # real rows with repeated values
+        for q, p in ((Q, P), (R, R[:k])):
+            want = 1.0 - (q[:, None, :] != p[None, :, :]).sum(axis=2) / d
+            assert similarity_matrix(q, p, "hamming_similarity").tobytes() == want.tobytes()
+
     def test_matches_scalar_complex(self):
         rng = np.random.default_rng(7)
         Q = np.exp(1j * rng.uniform(0, TWO_PI, size=(3, 9)))

@@ -127,12 +127,12 @@ def _inverse_quantile_matrix(
     # Stable argsort on -pi orders each row by descending probability with
     # ties broken toward the smaller label index.
     order = np.argsort(-pi, axis=1, kind="stable")
-    sorted_pi = np.take_along_axis(pi, order, axis=1)
-    cumulative = np.cumsum(sorted_pi, axis=1)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(pi.shape[1])[None, :], axis=1)
-    mass_through_label = np.take_along_axis(cumulative, rank, axis=1)
-    return -(mass_through_label - u[:, None] * pi)
+    cumulative = np.cumsum(np.take_along_axis(pi, order, axis=1), axis=1)
+    # each label's mass through its rank: the cumulative sums put back in label order
+    scores = np.empty_like(pi)
+    np.put_along_axis(scores, order, cumulative, axis=1)
+    scores -= u[:, None] * pi
+    return np.negative(scores, out=scores)
 
 
 def nonconformity(profile: Sequence[float], y: int, kind: str, *, lam: float = 0.5) -> float:
@@ -183,13 +183,14 @@ def quantile_index(n: int, alpha: float) -> int:
 
     The product is snapped to the nearest integer when it sits within
     floating-point noise of one, so decimal alphas like 0.1 select the
-    index exact rational arithmetic would.
+    index exact rational arithmetic would. It never snaps to 0: the
+    product is positive, so the index is at least 1.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     target = (1.0 - alpha) * (n + 1)
     nearest = round(target)
-    if abs(target - nearest) <= 1e-9 * (n + 1):
+    if nearest >= 1 and abs(target - nearest) <= 1e-9 * (n + 1):
         return int(nearest)
     return int(math.ceil(target))
 
@@ -293,12 +294,21 @@ class PredictionSet:
 
 
 def sets_from_scores(scores: np.ndarray, thresholds) -> np.ndarray:
-    """Boolean inclusion matrix: label k enters row i iff scores[i,k] <= threshold_k."""
+    """Boolean inclusion: label k enters row i iff scores[..., i, k] <= thresholds[..., k].
+
+    ``scores`` is (..., n, K) and ``thresholds`` a scalar or (..., K), so
+    one call serves a batch of score matrices, each with its thresholds.
+    """
     scores = np.atleast_2d(scores)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if thresholds.ndim == 0:
-        thresholds = np.full(scores.shape[1], float(thresholds))
-    return scores <= thresholds[None, :]
+        return scores <= thresholds
+    if thresholds.shape[-1] != scores.shape[-1]:
+        raise ValueError(
+            f"thresholds need one entry per class ({scores.shape[-1]}) on their last axis, "
+            f"got shape {thresholds.shape}"
+        )
+    return scores <= thresholds[..., None, :]
 
 
 def point_labels_from_sets(
@@ -306,19 +316,22 @@ def point_labels_from_sets(
 ) -> np.ndarray:
     """Trim each row's set to the argmin-score member; -1 marks abstention.
 
-    Rows with an empty set either stay empty (-1) or fall back to the
-    overall argmin score when ``allow_empty`` is false. Ties break toward
-    the smallest label index.
+    ``include`` and ``scores`` are (..., n, K) of one shape; the result is
+    (..., n). Rows with an empty set either stay empty (-1) or fall back to
+    the overall argmin score when ``allow_empty`` is false. Ties break
+    toward the smallest label index.
     """
     include = np.atleast_2d(include)
     scores = np.atleast_2d(scores)
+    if include.shape != scores.shape:
+        raise ValueError(f"include {include.shape} and scores {scores.shape} differ in shape")
     masked = np.where(include, scores, np.inf)
-    picks = np.argmin(masked, axis=1)
-    empty = ~include.any(axis=1)
+    picks = np.argmin(masked, axis=-1)
+    empty = ~include.any(axis=-1)
     if allow_empty:
         picks = np.where(empty, -1, picks)
     else:
-        fallback = np.argmin(scores, axis=1)
+        fallback = np.argmin(scores, axis=-1)
         picks = np.where(empty, fallback, picks)
     return picks
 
@@ -402,9 +415,10 @@ def ood_scores(score_mat: np.ndarray) -> np.ndarray:
     """Per-row anomaly statistic: the minimum score over all labels.
 
     Larger values mean no class conforms; abstention triggers exactly when
-    this minimum exceeds every governing threshold.
+    this minimum exceeds every governing threshold. ``score_mat`` is
+    (..., n, K); the result is (..., n).
     """
-    return np.atleast_2d(score_mat).min(axis=1)
+    return np.atleast_2d(score_mat).min(axis=-1)
 
 
 def ood_score(

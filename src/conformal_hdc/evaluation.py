@@ -21,7 +21,6 @@ from .conformal import (
     SCORE_KINDS,
     calibrate_conditional,
     calibrate_marginal,
-    calibration_scores,
     ood_scores,
     point_labels_from_sets,
     score_matrix,
@@ -197,19 +196,39 @@ def point_accuracy(preds, labels, count_empty_as_error: bool = True) -> float:
     return correct / considered
 
 
-def ood_auc(inlier_scores, ood_scores_) -> float:
-    """Exact pairwise P(ood > inlier) + 0.5 * P(tie) via midranks."""
-    inl = np.asarray(inlier_scores, dtype=np.float64).ravel()
-    ood = np.asarray(ood_scores_, dtype=np.float64).ravel()
-    if inl.size == 0 or ood.size == 0:
+def ood_auc(inlier_scores, ood_scores_):
+    """Exact pairwise P(ood > inlier) + 0.5 * P(tie) via midranks.
+
+    Ranks along the last axis: inlier scores (..., n_in) and OOD scores
+    (..., n_ood) with the same leading axes give one AUC per leading index
+    (a float for 1-D inputs). Ranking takes one sort along that axis, and
+    tied values share their midrank. The OOD rank sum is half an integer
+    sum, so the Mann-Whitney count is exact.
+    """
+    inl = np.atleast_1d(np.asarray(inlier_scores, dtype=np.float64))
+    ood = np.atleast_1d(np.asarray(ood_scores_, dtype=np.float64))
+    if inl.shape[:-1] != ood.shape[:-1]:
+        raise ValueError(f"inlier {inl.shape} and OOD {ood.shape} scores differ in their leading axes")
+    n_in, n_ood = inl.shape[-1], ood.shape[-1]
+    if n_in == 0 or n_ood == 0:
         raise ValueError("both score lists must be nonempty")
-    combined = np.concatenate([inl, ood])
-    _, inverse, counts = np.unique(combined, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    midranks = ends - (counts - 1) / 2.0
-    ranks = midranks[inverse]
-    u = ranks[inl.size :].sum() - ood.size * (ood.size + 1) / 2.0
-    return float(u / (inl.size * ood.size))
+    if not (np.all(np.isfinite(inl)) and np.all(np.isfinite(ood))):
+        raise ValueError("OOD AUC scores contain NaN or infinite values")
+    combined = np.concatenate([inl, ood], axis=-1)
+    order = np.argsort(combined, axis=-1)
+    ranked = np.take_along_axis(combined, order, axis=-1)
+    is_ood = order >= n_in
+    # A run of ties at 0-based sorted positions first..last shares the
+    # midrank (first + last) / 2 + 1; sum first and last over the OOD values.
+    starts = np.ones(ranked.shape, dtype=bool)
+    starts[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
+    pos = np.arange(n_in + n_ood)
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.where(np.roll(starts, -1, axis=-1), pos, n_in + n_ood)
+    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
+    rank_sum = (first.sum(axis=-1, where=is_ood) + last.sum(axis=-1, where=is_ood)) / 2.0 + n_ood
+    auc = (rank_sum - n_ood * (n_ood + 1) / 2.0) / (n_in * n_ood)
+    return float(auc) if auc.ndim == 0 else auc
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +545,20 @@ def _evaluate_repetition(
 
 
 def _evaluate_profiles(config: ExperimentConfig, n_classes: int, prof, y_cal, y_test, u_ss) -> Dict[str, dict]:
-    """Metrics per method from similarity profiles.
+    """Metrics per method from similarity profiles, every score kind in one pass.
 
     ``prof`` holds the calibration, test and OOD rows' profiles against the
     train prototypes ("cal", "test", "ood"; "ood" may be None), and the test
-    rows' against the baseline's ("full_test").
+    rows' against the baseline's ("full_test"). Each kind scores the stacked
+    calibration, test and OOD rows in one ``score_matrix`` call and gets
+    its own calibrator; the (kinds, n, K) scores and (kinds, K) thresholds
+    then go through sets, point labels, coverage, size, accuracy, empty
+    rates and both AUCs in one call each over the kinds axis.
     """
     prof_cal, prof_test, prof_full_test, prof_ood = (prof[k] for k in ("cal", "test", "full_test", "ood"))
-
-    u_rng = np.random.default_rng(u_ss)
-    u_cal = u_rng.uniform(size=prof_cal.shape[0])
-    u_test = u_rng.uniform(size=prof_test.shape[0])
-    u_ood = u_rng.uniform(size=prof_ood.shape[0]) if prof_ood is not None else None
+    if prof_ood is None:
+        prof_ood = np.empty((0, n_classes))
+    n_cal, n_test, n_ood = (p.shape[0] for p in (prof_cal, prof_test, prof_ood))
 
     out: Dict[str, dict] = {}
 
@@ -554,56 +575,56 @@ def _evaluate_profiles(config: ExperimentConfig, n_classes: int, prof, y_cal, y_
         "label_coverage": None,
         "label_upper_slack": None,
     }
+    kinds = config.score_kinds
+    if not kinds:
+        return out
 
-    for kind in config.score_kinds:
-        kw = dict(lam=config.lam, temperature=config.temperature)
-        cal_scores = calibration_scores(prof_cal, y_cal, kind, u=u_cal, **kw)
-        if config.conditional:
-            calibrator = calibrate_conditional(cal_scores, y_cal, config.alpha, n_classes)
-        else:
-            calibrator = calibrate_marginal(cal_scores, config.alpha)
-        thresholds = calibrator.thresholds(n_classes)
+    rows = np.concatenate([prof_cal, prof_test, prof_ood])
+    # one draw per row, the same numbers as drawing u_cal, u_test, u_ood in turn
+    u = np.random.default_rng(u_ss).uniform(size=rows.shape[0])
+    kw = dict(lam=config.lam, temperature=config.temperature, u=u)
+    scores = np.stack([score_matrix(rows, kind, **kw) for kind in kinds])
+    cal_scores = scores[:, np.arange(n_cal), y_cal]
+    if config.conditional:
+        calibrators = [calibrate_conditional(c, y_cal, config.alpha, n_classes) for c in cal_scores]
+    else:
+        calibrators = [calibrate_marginal(c, config.alpha) for c in cal_scores]
+    thresholds = np.stack([c.thresholds(n_classes) for c in calibrators])
 
-        test_scores = score_matrix(prof_test, kind, u=u_test, **kw)
-        include = sets_from_scores(test_scores, thresholds)
-        sizes = include.sum(axis=1)
-        coverage = float(include[np.arange(y_test.shape[0]), y_test].mean())
-        picks = point_labels_from_sets(include, test_scores, allow_empty=False)
-        accuracy = float((picks == y_test).mean())
+    test_scores = scores[:, n_cal : n_cal + n_test]
+    include = sets_from_scores(test_scores, thresholds)
+    sizes = include.sum(axis=-1)
+    hits = include[:, np.arange(n_test), y_test]
+    picks = point_labels_from_sets(include, test_scores, allow_empty=False)
+    metrics = {
+        "coverage": hits.mean(axis=1),
+        "size": sizes.mean(axis=1),
+        "accuracy": (picks == y_test).mean(axis=1),
+        "empty_rate": (sizes == 0).mean(axis=1),
+    }
+    nan = np.full(len(kinds), np.nan)
+    metrics.update(auc=nan, minscore_auc=nan, ood_empty_rate=nan)
+    if n_ood > 0:
+        ood_mat = scores[:, n_cal + n_test :]
+        ood_abstain = ~sets_from_scores(ood_mat, thresholds).any(axis=-1)
+        # The reported AUC ranks inputs by whether the method abstains on
+        # them at this alpha; the raw min-score statistic is kept alongside
+        # for diagnostics.
+        metrics.update(
+            auc=ood_auc((sizes == 0).astype(np.float64), ood_abstain.astype(np.float64)),
+            minscore_auc=ood_auc(ood_scores(test_scores), ood_scores(ood_mat)),
+            ood_empty_rate=ood_abstain.mean(axis=1),
+        )
 
-        auc = float("nan")
-        minscore_auc = float("nan")
-        ood_empty_rate = float("nan")
-        if prof_ood is not None and prof_ood.shape[0] > 0:
-            ood_mat = score_matrix(prof_ood, kind, u=u_ood, **kw)
-            ood_abstain = ~sets_from_scores(ood_mat, thresholds).any(axis=1)
-            test_abstain = sizes == 0
-            # The reported AUC ranks inputs by whether the method abstains
-            # on them at this alpha; the raw min-score statistic is kept
-            # alongside for diagnostics.
-            auc = ood_auc(test_abstain.astype(np.float64), ood_abstain.astype(np.float64))
-            minscore_auc = ood_auc(ood_scores(test_scores), ood_scores(ood_mat))
-            ood_empty_rate = float(ood_abstain.mean())
+    label_coverage = label_upper_slack = [None] * len(kinds)
+    if config.conditional:
+        # hits per label as exact integer counts, then each label's share
+        per_label = np.bincount(y_test, minlength=n_classes)
+        label_hits = hits.astype(np.float64) @ (y_test[:, None] == np.arange(n_classes))
+        label_coverage = np.where(per_label > 0, label_hits / np.maximum(per_label, 1), np.nan)
+        label_upper_slack = [1.0 / (1.0 + c.counts.astype(np.float64)) for c in calibrators]
 
-        label_coverage = None
-        label_upper_slack = None
-        if config.conditional:
-            label_coverage = np.full(n_classes, np.nan)
-            for y in range(n_classes):
-                mask = y_test == y
-                if mask.any():
-                    label_coverage[y] = float(include[mask, y].mean())
-            label_upper_slack = 1.0 / (1.0 + calibrator.counts.astype(np.float64))
-
-        out[kind] = {
-            "coverage": coverage,
-            "size": float(sizes.mean()),
-            "accuracy": accuracy,
-            "auc": auc,
-            "minscore_auc": minscore_auc,
-            "empty_rate": float((sizes == 0).mean()),
-            "ood_empty_rate": ood_empty_rate,
-            "label_coverage": label_coverage,
-            "label_upper_slack": label_upper_slack,
-        }
+    for i, kind in enumerate(kinds):
+        out[kind] = {key: float(values[i]) for key, values in metrics.items()}
+        out[kind].update(label_coverage=label_coverage[i], label_upper_slack=label_upper_slack[i])
     return out

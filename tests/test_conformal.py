@@ -147,7 +147,26 @@ class TestQuantileIndex:
         assert quantile_index(n, alpha) == want
 
 
+    def test_alpha_near_one_never_snaps_below_the_first_order_statistic(self):
+        # (1 - alpha)(n + 1) within 1e-9 (n + 1) of 0 used to snap to index
+        # 0, which makes the largest score the threshold
+        assert quantile_index(4, 1 - 1e-11) == 1
+        assert quantile_index(4, 1 - 1e-6) == 1
+
+
 class TestCalibration:
+    def test_marginal_alpha_near_one_takes_the_smallest_score(self):
+        scores = [-3.0, -1.0, 5.0, 2.0, 0.0]
+        assert calibrate_marginal(scores, 1 - 1e-11).q_hat == -3.0
+        assert calibrate_marginal(scores, 1 - 1e-6).q_hat == -3.0
+
+    def test_conditional_alpha_near_one_takes_each_stratum_smallest_score(self):
+        scores = [-3.0, -1.0, 5.0, 2.0, 0.0, 4.0]
+        labels = [0, 1, 0, 1, 0, 1]
+        for alpha in (1 - 1e-11, 1 - 1e-6):
+            cal = calibrate_conditional(scores, labels, alpha, 2)
+            assert cal.thresholds(2).tolist() == [-3.0, -1.0]
+
     @pytest.mark.parametrize(
         "labels", [[-1, 0], [0, 3], [0.7, 1.2], np.array([0.0, 1.0])], ids=["negative", "past_k", "float", "whole_floats"]
     )
@@ -354,6 +373,61 @@ class TestPointPrediction:
         calib = MarginalCalibrator(q_hat=-0.5, alpha=0.1, n_cal=10)
         ps = predict_point(model, calib, None, "similarity", allow_empty=True)
         assert ps.labels.tolist() == [0]
+
+
+class TestLeadingAxes:
+    """A batch of score matrices, one per kind, equals the per-kind calls."""
+
+    @pytest.fixture
+    def batch(self):
+        rng = np.random.default_rng(11)
+        profiles = rng.uniform(0.0, 1.0, size=(40, 4))
+        profiles[3] = 0.0  # the ratio kinds score an all-zero row 0
+        u = rng.uniform(size=40)
+        scores = np.stack([score_matrix(profiles, k, u=u) for k in SCORE_KINDS])
+        labels = rng.integers(0, 4, size=40)
+        thresholds = np.stack(
+            [calibrate_conditional(s[np.arange(40), labels], labels, 0.3, 4).thresholds(4) for s in scores]
+        )
+        thresholds[1, 2] = np.inf
+        return scores, thresholds
+
+    def test_sets_from_scores(self, batch):
+        scores, thresholds = batch
+        got = sets_from_scores(scores, thresholds)
+        assert got.shape == scores.shape
+        for s, t, g in zip(scores, thresholds, got):
+            np.testing.assert_array_equal(g, sets_from_scores(s, t))
+        np.testing.assert_array_equal(sets_from_scores(scores, -0.3), scores <= -0.3)
+
+    @pytest.mark.parametrize("allow_empty", [True, False])
+    def test_point_labels_from_sets(self, batch, allow_empty):
+        scores, thresholds = batch
+        include = sets_from_scores(scores, thresholds)
+        got = point_labels_from_sets(include, scores, allow_empty)
+        assert got.shape == scores.shape[:2]
+        for i, s, g in zip(include, scores, got):
+            np.testing.assert_array_equal(g, point_labels_from_sets(i, s, allow_empty))
+
+    def test_ood_scores(self, batch):
+        scores, _ = batch
+        got = ood_scores(scores)
+        assert got.shape == scores.shape[:2]
+        for s, g in zip(scores, got):
+            np.testing.assert_array_equal(g, ood_scores(s))
+
+
+class TestShapeErrors:
+    @pytest.mark.parametrize("thresholds", [[-0.5], [-0.5, -0.4], np.zeros((3, 1))])
+    def test_thresholds_need_one_entry_per_class(self, thresholds):
+        with pytest.raises(ValueError, match="one entry per class"):
+            sets_from_scores(np.zeros((4, 3)), thresholds)
+
+    def test_point_labels_need_include_and_scores_of_one_shape(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            point_labels_from_sets(np.ones((4, 3), dtype=bool), np.zeros((4, 2)), allow_empty=True)
+        with pytest.raises(ValueError, match="differ in shape"):
+            point_labels_from_sets(np.ones((2, 4, 3), dtype=bool), np.zeros((4, 3)), allow_empty=True)
 
 
 class TestOodScore:

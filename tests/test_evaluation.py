@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from conformal_hdc import classifier, evaluation
 from conformal_hdc.classifier import prototypes_from_encoded
-from conformal_hdc.conformal import PredictionSet
+from conformal_hdc.conformal import (
+    PredictionSet,
+    calibrate_conditional,
+    calibrate_marginal,
+    calibration_scores,
+    ood_scores,
+    point_labels_from_sets,
+    score_matrix,
+    sets_from_scores,
+)
 from conformal_hdc.datasets import DatasetBundle
 from conformal_hdc.evaluation import (
     ExperimentConfig,
@@ -135,6 +144,37 @@ class TestMetrics:
     def test_auc_empty_rejected(self):
         with pytest.raises(ValueError):
             ood_auc([], [0.1])
+
+    @pytest.mark.parametrize(
+        "inl, ood",
+        [([0.1, np.nan], [0.2, 0.3]), ([0.1, 0.15], [0.2, np.nan]), ([0.1, np.inf], [0.2]), ([0.1], [-np.inf])],
+    )
+    def test_auc_non_finite_rejected(self, inl, ood):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ood_auc(inl, ood)
+
+    def test_auc_leading_axes_must_match(self):
+        with pytest.raises(ValueError, match="leading axes"):
+            ood_auc(np.zeros((2, 3)), np.zeros((3, 3)))
+
+    def test_auc_ranks_each_row_of_a_batch(self):
+        rng = np.random.default_rng(4)
+        # few distinct values: many ties within and across the two groups
+        inl = rng.integers(0, 5, size=(2, 3, 30)) / 4.0
+        ood = rng.integers(0, 6, size=(2, 3, 45)) / 4.0
+        got = ood_auc(inl, ood)
+        assert got.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert got[idx] == ood_auc(inl[idx], ood[idx]) == _reference_ood_auc(inl[idx], ood[idx])
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=25),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=25),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_auc_bit_identical_to_unique_midranks(self, inl, ood):
+        inl, ood = np.asarray(inl) / 3.0, np.asarray(ood) / 3.0
+        assert ood_auc(inl, ood) == _reference_ood_auc(inl, ood)
 
     # coarse grid keeps exp strictly increasing in float precision
     grid = st.integers(-5000, 5000).map(lambda i: i / 1000.0)
@@ -281,6 +321,93 @@ class TestCoverageAcrossAlphas:
             assert lo <= m.coverage <= hi, (alpha, m.method, m.coverage, lo, hi)
 
 
+def _reference_ood_auc(inlier_scores, ood_scores_) -> float:
+    """P(ood > inlier) + 0.5 * P(tie) from the midranks of ``np.unique`` (one pair of 1-D lists)."""
+    inl = np.asarray(inlier_scores, dtype=np.float64).ravel()
+    ood = np.asarray(ood_scores_, dtype=np.float64).ravel()
+    _, inverse, counts = np.unique(np.concatenate([inl, ood]), return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    u = midranks[inverse][inl.size :].sum() - ood.size * (ood.size + 1) / 2.0
+    return float(u / (inl.size * ood.size))
+
+
+def _per_kind_profiles(config, n_classes, prof, y_cal, y_test, u_ss):
+    """The repetition metrics scored, calibrated and graded one score kind at a time."""
+    prof_cal, prof_test, prof_full_test, prof_ood = (prof[k] for k in ("cal", "test", "full_test", "ood"))
+    u_rng = np.random.default_rng(u_ss)
+    u_cal = u_rng.uniform(size=prof_cal.shape[0])
+    u_test = u_rng.uniform(size=prof_test.shape[0])
+    u_ood = u_rng.uniform(size=prof_ood.shape[0]) if prof_ood is not None else None
+    baseline_acc = float((np.argmax(prof_full_test, axis=1) == y_test).mean())
+    out = {
+        evaluation.METHOD_HDC: {
+            "coverage": baseline_acc,
+            "size": 1.0,
+            "accuracy": baseline_acc,
+            "auc": float("nan"),
+            "minscore_auc": float("nan"),
+            "empty_rate": 0.0,
+            "ood_empty_rate": float("nan"),
+            "label_coverage": None,
+            "label_upper_slack": None,
+        }
+    }
+    for kind in config.score_kinds:
+        kw = dict(lam=config.lam, temperature=config.temperature)
+        cal_scores = calibration_scores(prof_cal, y_cal, kind, u=u_cal, **kw)
+        if config.conditional:
+            calibrator = calibrate_conditional(cal_scores, y_cal, config.alpha, n_classes)
+        else:
+            calibrator = calibrate_marginal(cal_scores, config.alpha)
+        thresholds = calibrator.thresholds(n_classes)
+        test_scores = score_matrix(prof_test, kind, u=u_test, **kw)
+        include = sets_from_scores(test_scores, thresholds)
+        sizes = include.sum(axis=1)
+        coverage = float(include[np.arange(y_test.shape[0]), y_test].mean())
+        picks = point_labels_from_sets(include, test_scores, allow_empty=False)
+        accuracy = float((picks == y_test).mean())
+        auc = minscore_auc = ood_empty_rate = float("nan")
+        if prof_ood is not None and prof_ood.shape[0] > 0:
+            ood_mat = score_matrix(prof_ood, kind, u=u_ood, **kw)
+            ood_abstain = ~sets_from_scores(ood_mat, thresholds).any(axis=1)
+            test_abstain = sizes == 0
+            auc = _reference_ood_auc(test_abstain.astype(np.float64), ood_abstain.astype(np.float64))
+            minscore_auc = _reference_ood_auc(ood_scores(test_scores), ood_scores(ood_mat))
+            ood_empty_rate = float(ood_abstain.mean())
+        label_coverage = label_upper_slack = None
+        if config.conditional:
+            label_coverage = np.full(n_classes, np.nan)
+            for y in range(n_classes):
+                mask = y_test == y
+                if mask.any():
+                    label_coverage[y] = float(include[mask, y].mean())
+            label_upper_slack = 1.0 / (1.0 + calibrator.counts.astype(np.float64))
+        out[kind] = {
+            "coverage": coverage,
+            "size": float(sizes.mean()),
+            "accuracy": accuracy,
+            "auc": auc,
+            "minscore_auc": minscore_auc,
+            "empty_rate": float((sizes == 0).mean()),
+            "ood_empty_rate": ood_empty_rate,
+            "label_coverage": label_coverage,
+            "label_upper_slack": label_upper_slack,
+        }
+    return out
+
+
+def _assert_same_methods(got, want):
+    """Every ``MethodMetrics`` field equal byte for byte (NaN included)."""
+    assert [m.method for m in got] == [m.method for m in want]
+    for a, b in zip(got, want):
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if x is None or isinstance(x, str):
+                assert x == y, (a.method, field.name)
+            else:
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), (a.method, field.name, x, y)
+
+
 def _fancy_index_repetition(config, fractions, feats, labels, ood_feats, split_ss, enc_ss, u_ss):
     """One repetition with every row encoded at once and each fold copied out by fancy indexing."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -405,3 +532,31 @@ class TestStreamedRepetition:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
+
+
+class TestBatchedMetrics:
+    @pytest.mark.parametrize(
+        "config, bundle",
+        [
+            (ExperimentConfig(dataset="synthetic", repetitions=6, seed=7, n_ood=60), None),
+            (ExperimentConfig(dataset="synthetic", repetitions=6, seed=7, n_ood=60, conditional=True), None),
+            (ExperimentConfig(dataset="synthetic", repetitions=4, seed=8, n_ood=0, conditional=True), None),
+            (ExperimentConfig(dataset="synthetic", repetitions=3, seed=9, score_kinds=()), None),
+            (ExperimentConfig(dataset="synthetic", repetitions=3, seed=9, score_kinds=("inverse_quantile",)), None),
+            (
+                ExperimentConfig(dataset="isolet", d=256, repetitions=4, seed=9, ood_holdout=("F",), conditional=True),
+                _letters_bundle(),
+            ),
+            (ExperimentConfig(dataset="isolet", d=256, repetitions=4, seed=9, ood_holdout=("F",)), _letters_bundle()),
+            (ExperimentConfig(dataset="spike_surrogate", d=64, repetitions=4, seed=10), None),
+            (ExperimentConfig(dataset="spike_surrogate", d=64, repetitions=4, seed=10, conditional=True), None),
+        ],
+        ids=[
+            "synthetic-marginal", "synthetic-conditional", "no-ood", "no-kinds", "one-kind",
+            "isolet-conditional", "isolet-marginal", "spike-d64-marginal", "spike-d64-conditional",
+        ],
+    )
+    def test_matches_scoring_one_kind_at_a_time(self, monkeypatch, config, bundle):
+        batched = run_experiment(config, bundle)
+        monkeypatch.setattr(evaluation, "_evaluate_profiles", _per_kind_profiles)
+        _assert_same_methods(batched.methods, run_experiment(config, bundle).methods)

@@ -10,7 +10,7 @@ calibration, set-valued prediction, and abstention on the run state.
 
 import numpy as np
 
-from conformal_hdc import ExperimentConfig, run_experiment
+from conformal_hdc import ExperimentConfig, run_experiment, similarity
 from conformal_hdc.cli import format_summary
 from conformal_hdc.datasets import SpikeSurrogateConfig, generate_spike_surrogate
 from conformal_hdc.encoders import TemporalFpeEncoder
@@ -25,10 +25,7 @@ print(f"one trajectory: {sample.shape[0]} neurons x {sample.shape[1]} bins, "
 
 # Column-order sensitivity: reversing time changes the encoding.
 enc = TemporalFpeEncoder(p=30, d=10_000, t_max=8, beta=0.3, seed=1)
-forward = enc.encode(sample)
-backward = enc.encode(sample[:, ::-1])
-from conformal_hdc import similarity
-
+forward, backward = enc.encode_batch(np.stack([sample, sample[:, ::-1]]))
 print(f"complex cosine(forward, reversed time) = "
       f"{similarity(forward, backward, 'complex_cosine'):.3f} "
       f"(vs {similarity(forward, forward, 'complex_cosine'):.3f} against itself)")

@@ -16,12 +16,11 @@ from .conformal import (
     calibrate_conditional,
     calibrate_marginal,
     calibration_scores,
-    inverse_quantile_score,
-    nonconformity,
     ood_score,
     predict_point,
     predict_set_conditional,
     predict_set_marginal,
+    predict_sets,
     score_matrix,
 )
 from .datasets import (
@@ -44,12 +43,6 @@ from .encoders import (
     QuantizedFeatureEncoder,
     TemporalFpeEncoder,
     TrigramTextEncoder,
-    encode_fpe,
-    encode_identity,
-    encode_image_binary,
-    encode_quantized_features,
-    encode_temporal_trajectory,
-    encode_trigram_text,
     preprocess_text,
 )
 from .evaluation import (
@@ -67,7 +60,6 @@ from .evaluation import (
 from .hypervectors import (
     SIMILARITY_KINDS,
     BipolarHypervector,
-    ComplexAccumulator,
     ComplexHypervector,
     RealAccumulator,
     bind,

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypervectors import similarity_matrix
+from .hypervectors import SIMILARITY_KINDS, similarity_matrix
 
 __all__ = [
     "PROTOTYPE_STYLES",
@@ -82,6 +82,16 @@ class TrainedModel:
     labels: np.ndarray  # original label value for each dense class index
 
     def __post_init__(self) -> None:
+        if self.similarity_kind not in SIMILARITY_KINDS:
+            raise ValueError(
+                f"unknown similarity kind {self.similarity_kind!r}; expected one of {SIMILARITY_KINDS}"
+            )
+        if np.iscomplexobj(self.prototypes) != (self.similarity_kind == "complex_cosine"):
+            raise ValueError(
+                f"similarity kind {self.similarity_kind!r} does not fit "
+                f"{'complex' if np.iscomplexobj(self.prototypes) else 'real'} codes: "
+                "complex codes take 'complex_cosine', and only they do"
+            )
         shape = self.prototypes.shape
         if len(shape) != 2 or shape[1] != self.encoder.d or shape[0] != len(self.labels):
             raise ValueError(
@@ -113,13 +123,9 @@ class TrainedModel:
         """Length-K similarity profile for a single input."""
         return self.similarity_profiles(self._as_batch(x))[0]
 
-    def predict_index(self, x) -> int:
-        """Dense class index of the most similar prototype."""
-        return int(np.argmax(self.similarity_profile(x)))
-
     def predict(self, x):
         """Original label of the most similar prototype (ties -> smallest index)."""
-        return self.labels[self.predict_index(x)]
+        return self.labels[self.predict_indices(self._as_batch(x))[0]]
 
     def predict_indices(self, X) -> np.ndarray:
         return np.argmax(self.similarity_profiles(X), axis=1)

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -78,63 +79,58 @@ def _parse_int(key: str, value: str) -> int:
         raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
+#: config-file names of ExperimentConfig fields, besides the field names themselves
+_ALIASES = {"lambda": "lam", "reps": "repetitions", "scores": "score_kinds"}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+#: dataset files whose bytes a ``<key>_sha256`` digest can pin
+_CHECKED_PATHS = ("mnist_images", "mnist_labels", "isolet_path")
+_OTHER_KEYS = {"out", "languages_dir", *_CHECKED_PATHS, *(f"{k}_sha256" for k in _CHECKED_PATHS)}
+_SCALAR_PARSERS = {str: lambda key, value: value, bool: _parse_bool, int: _parse_int, float: _parse_float}
+
+
+def _field_name(key: str) -> str:
+    return _ALIASES.get(key, key)
+
+
+def _parse_field(key: str, hint, value: str):
+    """``value`` read as the type ``hint`` of the field that ``key`` sets."""
+    if type(None) in typing.get_args(hint):  # an optional field given a value
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    if hint in _SCALAR_PARSERS:
+        return _SCALAR_PARSERS[hint](key, value)
+    items = typing.get_args(hint)  # a tuple: (str, ...) of any length, or of fixed length
+    parts = [p.strip() for p in value.split(",")]
+    if items[-1] is Ellipsis:
+        return tuple(p for p in parts if p)
+    if items[0] is int and len(parts) == 1:
+        parts *= len(items)  # one count stands for every entry
+    if len(parts) != len(items):
+        n = "three" if len(items) == 3 else len(items)
+        shape = f"one count or {n} comma-separated counts" if items[0] is int else f"{n} comma-separated numbers"
+        raise ValueError(f"{key} must be {shape}, got {value!r}")
+    return tuple(_SCALAR_PARSERS[items[0]](key, p) for p in parts)
+
+
 def build_config(options: dict) -> ExperimentConfig:
-    """Turn string options into a validated experiment configuration."""
+    """Turn string options into a validated experiment configuration.
+
+    Each key names an ``ExperimentConfig`` field, or one through an alias
+    (``lambda``, ``reps``, ``scores``), and is read by the field's type;
+    the output directory and dataset-path keys pass through. Any other key
+    is an error, so a misspelled key cannot fall back to its default.
+    """
     kwargs: dict = {}
-    if "dataset" in options:
-        kwargs["dataset"] = options["dataset"]
-    if "alpha" in options:
-        kwargs["alpha"] = _parse_float("alpha", options["alpha"])
-    if "d" in options:
-        kwargs["d"] = _parse_int("d", options["d"])
-    if "scores" in options:
-        kwargs["score_kinds"] = tuple(s.strip() for s in options["scores"].split(",") if s.strip())
-    if "reps" in options:
-        kwargs["repetitions"] = _parse_int("reps", options["reps"])
-    if "seed" in options:
-        kwargs["seed"] = _parse_int("seed", options["seed"])
-    if "fractions" in options:
-        parts = [p.strip() for p in options["fractions"].split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"fractions must be three comma-separated numbers, got {options['fractions']!r}")
-        kwargs["fractions"] = tuple(_parse_float("fractions", p) for p in parts)
-    if "ood_holdout" in options:
-        kwargs["ood_holdout"] = tuple(
-            s.strip() for s in options["ood_holdout"].split(",") if s.strip()
-        )
-    if "lambda" in options:
-        kwargs["lam"] = _parse_float("lambda", options["lambda"])
-    if "temperature" in options:
-        kwargs["temperature"] = _parse_float("temperature", options["temperature"])
-    if "conditional" in options:
-        kwargs["conditional"] = _parse_bool("conditional", options["conditional"])
-    if "levels" in options:
-        kwargs["levels"] = _parse_int("levels", options["levels"])
-    if "beta" in options:
-        kwargs["beta"] = _parse_float("beta", options["beta"])
-    if "sigma3" in options:
-        kwargs["sigma3"] = _parse_float("sigma3", options["sigma3"])
-    if "n_per_class" in options:
-        parts = [p.strip() for p in options["n_per_class"].split(",")]
-        if len(parts) not in (1, 3):
-            raise ValueError(
-                f"n_per_class must be one count or three comma-separated counts, got {options['n_per_class']!r}"
-            )
-        counts = tuple(_parse_int("n_per_class", p) for p in parts)
-        kwargs["n_per_class"] = counts if len(counts) == 3 else counts * 3
-    if "n_ood" in options:
-        kwargs["n_ood"] = _parse_int("n_ood", options["n_ood"])
-    for key in (
-        "spike_classes",
-        "spike_neurons",
-        "spike_bins",
-        "spike_per_class",
-        "spike_ood",
-    ):
-        if key in options:
-            kwargs[key] = _parse_int(key, options[key])
-    if "spike_rate_scale" in options:
-        kwargs["spike_rate_scale"] = _parse_float("spike_rate_scale", options["spike_rate_scale"])
+    given: dict = {}
+    for key, value in options.items():
+        name = _field_name(key)
+        if name not in _FIELD_TYPES:
+            if key in _OTHER_KEYS:
+                continue
+            raise ValueError(f"unknown config key {key!r}")
+        if name in given:
+            raise ValueError(f"config keys {given[name]!r} and {key!r} both set {name}")
+        given[name] = key
+        kwargs[name] = _parse_field(key, _FIELD_TYPES[name], value)
 
     config = ExperimentConfig(**kwargs)
     config.validate()
@@ -276,18 +272,14 @@ def main(argv=None) -> int:
 
     try:
         options = parse_config_file(args.config) if args.config else {}
-        if args.dataset is not None:
-            options["dataset"] = args.dataset
-        if args.alpha is not None:
-            options["alpha"] = str(args.alpha)
-        if args.score is not None:
-            options["scores"] = args.score
-        if args.d is not None:
-            options["d"] = str(args.d)
-        if args.seed is not None:
-            options["seed"] = str(args.seed)
-        if args.reps is not None:
-            options["reps"] = str(args.reps)
+        flags = {"dataset": args.dataset, "alpha": args.alpha, "scores": args.score,
+                 "d": args.d, "seed": args.seed, "reps": args.reps}
+        for key, value in flags.items():
+            if value is not None:
+                # a flag replaces the file's key for its field, under either name
+                for given in [k for k in options if _field_name(k) == _field_name(key)]:
+                    del options[given]
+                options[key] = str(value)
         out_dir = args.out or options.get("out", "results")
 
         config = build_config(options)

@@ -23,14 +23,14 @@ the coverage guarantee in tiny-calibration regimes.
 Prediction sets keep the labels whose score is at or below the governing
 threshold; the point-valued variant trims multi-label sets to the argmin
 score and optionally resolves empty sets to the overall argmin.
+``predict_sets`` does this for a batch; the single-input functions are
+batch-of-one calls into the same code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .classifier import check_class_labels
@@ -43,14 +43,13 @@ __all__ = [
     "calibrate_conditional",
     "calibrate_marginal",
     "calibration_scores",
-    "inverse_quantile_score",
-    "nonconformity",
     "ood_score",
     "ood_scores",
     "point_labels_from_sets",
     "predict_point",
     "predict_set_conditional",
     "predict_set_marginal",
+    "predict_sets",
     "quantile_index",
     "score_matrix",
     "sets_from_scores",
@@ -58,8 +57,6 @@ __all__ = [
 ]
 
 SCORE_KINDS = ("similarity", "ratio", "discount", "penalized", "inverse_quantile")
-
-_RANDOMIZED_KINDS = ("inverse_quantile",)
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -133,32 +130,6 @@ def _inverse_quantile_matrix(
     np.put_along_axis(scores, order, cumulative, axis=1)
     scores -= u[:, None] * pi
     return np.negative(scores, out=scores)
-
-
-def nonconformity(profile: Sequence[float], y: int, kind: str, *, lam: float = 0.5) -> float:
-    """Score of label ``y`` for one profile (non-randomized kinds)."""
-    if kind in _RANDOMIZED_KINDS:
-        raise ValueError("use inverse_quantile_score for the randomized kind")
-    row = score_matrix(np.asarray(profile, dtype=np.float64)[None, :], kind, lam=lam)[0]
-    return float(row[y])
-
-
-def inverse_quantile_score(
-    profile: Sequence[float], y: int, u: float, temperature: float = 1.0
-) -> float:
-    """Randomized adaptive cumulative score for label ``y``, negated.
-
-    The softmaxed profile is accumulated from the most probable label down
-    through the rank of ``y`` (ties resolved toward smaller indices); ``u``
-    removes a uniform fraction of the boundary probability.
-    """
-    row = score_matrix(
-        np.asarray(profile, dtype=np.float64)[None, :],
-        "inverse_quantile",
-        temperature=temperature,
-        u=np.asarray([u], dtype=np.float64),
-    )[0]
-    return float(row[y])
 
 
 def calibration_scores(
@@ -336,14 +307,37 @@ def point_labels_from_sets(
     return picks
 
 
-def _profile_scores(model, x, kind: str, lam: float, temperature: float, u):
-    profile = model.similarity_profile(x)
-    u_arr = None
-    if kind in _RANDOMIZED_KINDS:
-        if u is None:
-            raise ValueError("inverse_quantile prediction needs a uniform draw u")
-        u_arr = np.asarray([u], dtype=np.float64)
-    return score_matrix(profile[None, :], kind, lam=lam, temperature=temperature, u=u_arr)[0]
+def predict_sets(
+    model,
+    calibrator,
+    X,
+    kind: str,
+    *,
+    lam: float = 0.5,
+    temperature: float = 1.0,
+    u: np.ndarray | None = None,
+):
+    """Prediction sets of a batch: the (n, K) inclusion matrix and (n, K) scores.
+
+    Label k enters row i's set iff its score is at or below
+    ``calibrator.thresholds(K)[k]``, so one call serves the marginal and
+    the label-conditional calibrator. The randomized ``inverse_quantile``
+    kind needs one uniform draw per row in ``u``.
+    """
+    profiles = model.similarity_profiles(X)
+    scores = score_matrix(profiles, kind, lam=lam, temperature=temperature, u=u)
+    return sets_from_scores(scores, calibrator.thresholds(scores.shape[1])), scores
+
+
+def _draw(u: float | None):
+    """One input's uniform draw as the array of one that the batch code takes."""
+    return None if u is None else np.array([u], dtype=np.float64)
+
+
+def _predict_one(model, calibrator, x, kind: str, lam: float, temperature: float, u):
+    """:func:`predict_sets` on ``x`` as a batch of one: its (1, K) inclusion and scores."""
+    X = model._as_batch(x)
+    return predict_sets(model, calibrator, X, kind, lam=lam, temperature=temperature, u=_draw(u))
 
 
 def predict_set_marginal(
@@ -356,10 +350,9 @@ def predict_set_marginal(
     temperature: float = 1.0,
     u: float | None = None,
 ) -> PredictionSet:
-    """Labels whose nonconformity is at or below the marginal threshold."""
-    scores = _profile_scores(model, x, kind, lam, temperature, u)
-    members = np.flatnonzero(scores <= calibrator.q_hat)
-    return PredictionSet(labels=members, scores=scores)
+    """Labels of one input whose nonconformity is at or below the marginal threshold."""
+    include, scores = _predict_one(model, calibrator, x, kind, lam, temperature, u)
+    return PredictionSet(labels=np.flatnonzero(include[0]), scores=scores[0])
 
 
 def predict_set_conditional(
@@ -372,10 +365,9 @@ def predict_set_conditional(
     temperature: float = 1.0,
     u: float | None = None,
 ) -> PredictionSet:
-    """Labels whose nonconformity is at or below their per-label threshold."""
-    scores = _profile_scores(model, x, kind, lam, temperature, u)
-    members = np.flatnonzero(scores <= calibrator.thresholds(scores.shape[0]))
-    return PredictionSet(labels=members, scores=scores)
+    """Labels of one input whose nonconformity is at or below their per-label threshold."""
+    include, scores = _predict_one(model, calibrator, x, kind, lam, temperature, u)
+    return PredictionSet(labels=np.flatnonzero(include[0]), scores=scores[0])
 
 
 def predict_point(
@@ -389,26 +381,16 @@ def predict_point(
     temperature: float = 1.0,
     u: float | None = None,
 ) -> PredictionSet:
-    """Trimmed prediction: a singleton, or the empty set when allowed.
+    """Trimmed prediction for one input: a singleton, or the empty set when allowed.
 
-    Multi-label sets keep only the member with the smallest score; empty
-    sets stay empty when ``allow_empty`` is set and otherwise fall back to
-    the overall argmin score.
+    The set goes through :func:`point_labels_from_sets`: a multi-label set
+    keeps only the member with the smallest score; an empty set stays empty
+    when ``allow_empty`` is set and otherwise falls back to the overall
+    argmin score.
     """
-    if isinstance(calibrator, ConditionalCalibrator):
-        base = predict_set_conditional(
-            model, calibrator, x, kind, lam=lam, temperature=temperature, u=u
-        )
-    else:
-        base = predict_set_marginal(
-            model, calibrator, x, kind, lam=lam, temperature=temperature, u=u
-        )
-    if len(base) > 1:
-        best = base.labels[np.argmin(base.scores[base.labels])]
-        return PredictionSet(labels=np.asarray([best]), scores=base.scores)
-    if len(base) == 0 and not allow_empty:
-        return PredictionSet(labels=np.asarray([np.argmin(base.scores)]), scores=base.scores)
-    return base
+    include, scores = _predict_one(model, calibrator, x, kind, lam, temperature, u)
+    pick = point_labels_from_sets(include, scores, allow_empty)[0]
+    return PredictionSet(labels=[] if pick < 0 else [pick], scores=scores[0])
 
 
 def ood_scores(score_mat: np.ndarray) -> np.ndarray:
@@ -431,5 +413,5 @@ def ood_score(
     u: float | None = None,
 ) -> float:
     """Anomaly statistic for one input: min over labels of its score."""
-    scores = _profile_scores(model, x, kind, lam, temperature, u)
-    return float(scores.min())
+    profile = model.similarity_profile(x)
+    return float(ood_scores(score_matrix(profile, kind, lam=lam, temperature=temperature, u=_draw(u)))[0])

@@ -23,14 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hypervectors import (
-    BipolarHypervector,
-    ComplexAccumulator,
-    ComplexHypervector,
-    RealAccumulator,
-    random_phase,
-    sign_binarize,
-)
+from .hypervectors import random_phase
 
 __all__ = [
     "TEXT_VOCABULARY",
@@ -44,12 +37,6 @@ __all__ = [
     "QuantizedFeatureEncoder",
     "TemporalFpeEncoder",
     "TrigramTextEncoder",
-    "encode_fpe",
-    "encode_identity",
-    "encode_image_binary",
-    "encode_quantized_features",
-    "encode_temporal_trajectory",
-    "encode_trigram_text",
     "preprocess_text",
 ]
 
@@ -125,14 +112,7 @@ class ItemMemory:
         vectors.setflags(write=False)
         self.vectors = vectors
         self.d = d
-        self.n_items = n_items
         self.seed = seed
-
-    def __len__(self) -> int:
-        return self.n_items
-
-    def __getitem__(self, index: int) -> BipolarHypervector:
-        return BipolarHypervector(self.vectors[index])
 
 
 class LevelMemory:
@@ -164,9 +144,6 @@ class LevelMemory:
         self.d = d
         self.levels = levels
         self.seed = seed
-
-    def __getitem__(self, level: int) -> BipolarHypervector:
-        return BipolarHypervector(self.vectors[level])
 
 
 @dataclass(frozen=True)
@@ -265,35 +242,6 @@ class PositionBank:
         return np.roll(self.base.phases, j % self.d)
 
 
-def encode_image_binary(pixels, im: ItemMemory) -> BipolarHypervector:
-    """Bundle position vectors of active pixels and binarize.
-
-    An all-zero image has an empty bundle, which the zero tie-break turns
-    into the all-(+1) vector.
-    """
-    x = np.asarray(pixels)
-    if x.ndim != 1 or x.shape[0] != im.n_items:
-        raise ValueError(f"expected {im.n_items} pixels, got shape {x.shape}")
-    if not np.all((x == 0) | (x == 1)):
-        raise ValueError("pixels must be binary (threshold upstream)")
-    total = x.astype(np.float64) @ im.vectors
-    return sign_binarize(RealAccumulator(total))
-
-
-def encode_quantized_features(
-    x, grid: QuantizationGrid, im: ItemMemory, lm: LevelMemory
-) -> BipolarHypervector:
-    """Identification-value chain encoding: sign(sum_j ID_j * L_{v_j})."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != im.n_items:
-        raise ValueError(f"expected {im.n_items} features, got shape {x.shape}")
-    if grid.mins.shape[0] != x.shape[0]:
-        raise ValueError("grid was fitted for a different feature count")
-    levels = grid.quantize(x)[0]
-    bound = im.vectors * lm.vectors[levels]
-    return sign_binarize(RealAccumulator(bound.sum(axis=0, dtype=np.float64)))
-
-
 def preprocess_text(text: str) -> str:
     """Lowercase, collapse whitespace, and truncate to 128 characters."""
     collapsed = re.sub(r"\s+", " ", text.lower()).strip()
@@ -331,27 +279,6 @@ def _trigram_code(text: str, rotations: np.ndarray, d: int) -> np.ndarray:
         counts += chunk.sum(axis=0, dtype=np.uint8)
     # 1 - 2 * (bool mask viewed as int8) takes a third of np.where's time
     return 1 - 2 * (2 * counts > bits.shape[0]).view(np.int8)
-
-
-def encode_trigram_text(text: str, im: ItemMemory) -> BipolarHypervector:
-    """Superpose all character trigrams S_t * rho(S_{t+1}) * rho^2(S_{t+2}).
-
-    Characters outside the vocabulary are dropped before trigrams form;
-    strings with fewer than three valid symbols yield the all-(+1) vector
-    (empty bundle). ``im`` is packed on every call; ``TrigramTextEncoder``
-    packs its codebook once.
-    """
-    if im.n_items != len(TEXT_VOCABULARY):
-        raise ValueError(f"text item memory needs {len(TEXT_VOCABULARY)} symbols")
-    return BipolarHypervector(_trigram_code(text, _pack_rotations(im.vectors), im.d))
-
-
-def encode_fpe(x, proj: FpeProjection) -> ComplexHypervector:
-    """Fractional-power encoding: phases beta * W x on the unit circle."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("encode_fpe takes a single feature vector")
-    return ComplexHypervector(proj.phases(x))
 
 
 def _split_steps(u: np.ndarray, k: np.ndarray, index: np.ndarray) -> None:
@@ -470,28 +397,6 @@ def _fpe_superpose(X: np.ndarray, factor: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def encode_temporal_trajectory(
-    X, proj: FpeProjection, bank: PositionBank
-) -> ComplexAccumulator:
-    """Superpose per-bin encodings bound to rotated positional phasors.
-
-    ``X`` has shape (p, t) with one column per time bin; the result is the
-    raw complex sum over bins j of exp(i * (beta W X[:, j])) * rho^j(P),
-    left unnormalized. The kernel's factor is built on every call;
-    ``TemporalFpeEncoder`` builds it once.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != proj.p:
-        raise ValueError(f"expected a ({proj.p}, t) matrix, got shape {X.shape}")
-    factor = _fpe_factor(proj, bank, X.shape[1])
-    return ComplexAccumulator(_fpe_superpose(X[None], factor, proj.d)[0])
-
-
-def encode_identity(x) -> RealAccumulator:
-    """Passthrough of raw features for feature-space studies."""
-    return RealAccumulator(np.asarray(x, dtype=np.float64))
-
-
 def _bipolar_sign(sums: np.ndarray) -> np.ndarray:
     """int8 sign of real sums with the tie 0 -> +1.
 
@@ -520,9 +425,6 @@ class IdentityEncoder:
         self.p = p
         self.d = p
 
-    def encode(self, x) -> RealAccumulator:
-        return encode_identity(x)
-
     def encode_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.p:
@@ -544,9 +446,6 @@ class BinaryImageEncoder:
         self.p = p
         self.d = d
         self.seed = seed
-
-    def encode(self, pixels) -> BipolarHypervector:
-        return encode_image_binary(pixels, self.im)
 
     def encode_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X))
@@ -583,10 +482,9 @@ class QuantizedFeatureEncoder:
     def _require_fitted(self) -> QuantizationGrid:
         if self.grid is None:
             raise RuntimeError("encoder not fitted: call fit(train_features) first")
+        if self.grid.mins.shape[0] != self.p:
+            raise ValueError("grid was fitted for a different feature count")
         return self.grid
-
-    def encode(self, x) -> BipolarHypervector:
-        return encode_quantized_features(x, self._require_fitted(), self.im, self.lm)
 
     def encode_batch(self, X) -> np.ndarray:
         grid = self._require_fitted()
@@ -638,12 +536,9 @@ class TrigramTextEncoder:
         self.d = d
         self.seed = seed
 
-    def encode(self, text: str) -> BipolarHypervector:
-        return BipolarHypervector(_trigram_code(text, self.rotations, self.d))
-
     def encode_batch(self, texts: Iterable[str]) -> np.ndarray:
         if isinstance(texts, str):
-            raise TypeError("encode_batch takes a sequence of texts, not one string; use encode()")
+            raise TypeError("encode_batch takes a sequence of texts, not one string; wrap it in a list")
         rows = [_trigram_code(t, self.rotations, self.d) for t in texts]
         if not rows:
             raise ValueError("cannot encode an empty batch of texts")
@@ -669,12 +564,6 @@ class TemporalFpeEncoder:
         self.t_max = t_max
         self.beta = beta
         self.seed = seed
-
-    def encode(self, X) -> ComplexAccumulator:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"expected a ({self.p}, t) matrix, got shape {X.shape}")
-        return ComplexAccumulator(self.encode_batch(X[None])[0])
 
     def encode_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -118,82 +118,61 @@ def split_data(n_samples: int, spec: SplitSpec):
 # ---------------------------------------------------------------------------
 
 
-def _as_inclusion(sets):
-    if isinstance(sets, np.ndarray) and sets.dtype == bool:
-        return sets
-    return None
+def _leading(values: np.ndarray):
+    """A float for a 0-d result, the array for a result with leading axes."""
+    return float(values) if values.ndim == 0 else values
 
 
-def _class_count(sets) -> int | None:
-    """K shared by a sequence of prediction sets (the length of their scores); None when empty."""
-    counts = {s.scores.shape[0] for s in sets}
-    if len(counts) > 1:
-        raise ValueError(f"prediction sets differ in class count: {sorted(counts)}")
-    return counts.pop() if counts else None
+def _inclusion(include) -> np.ndarray:
+    include = np.asarray(include)
+    if include.dtype != bool or include.ndim < 2:
+        raise ValueError(
+            f"expected an (..., n, K) boolean inclusion matrix, got {include.dtype} {include.shape}"
+        )
+    if include.shape[-2] == 0:
+        raise ValueError("need at least one prediction set")
+    return include
 
 
-def empirical_coverage(sets, labels) -> float:
+def empirical_coverage(include, labels):
     """Fraction of samples whose true label is in their prediction set.
 
-    ``sets`` is an (n, K) inclusion matrix or a sequence of ``PredictionSet``
-    of K scores each; K bounds the labels.
+    ``include`` is an (..., n, K) boolean inclusion matrix, as
+    ``sets_from_scores`` gives, and ``labels`` the n true labels in
+    range(K); the result is a float, or one value per leading index.
     """
-    matrix = _as_inclusion(sets)
-    if matrix is not None:
-        if matrix.shape[0] == 0:
-            raise ValueError("need at least one prediction set")
-        labels = check_class_labels(labels, matrix.shape[1])
-        if matrix.shape[0] != labels.shape[0]:
-            raise ValueError("sets and labels must have equal length")
-        return float(matrix[np.arange(labels.shape[0]), labels].mean())
-    sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one prediction set")
-    labels = check_class_labels(labels, _class_count(sets))
-    if len(sets) != labels.shape[0]:
+    include = _inclusion(include)
+    labels = check_class_labels(labels, include.shape[-1])
+    if include.shape[-2] != labels.shape[0]:
         raise ValueError("sets and labels must have equal length")
-    hits = sum(1 for s, y in zip(sets, labels) if y in s)
-    return hits / len(sets)
+    return _leading(include[..., np.arange(labels.shape[0]), labels].mean(axis=-1))
 
 
-def average_set_size(sets) -> float:
-    """Mean cardinality of the prediction sets."""
-    matrix = _as_inclusion(sets)
-    if matrix is not None:
-        if matrix.shape[0] == 0:
-            raise ValueError("need at least one prediction set")
-        return float(matrix.sum(axis=1).mean())
-    sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one prediction set")
-    return sum(len(s) for s in sets) / len(sets)
+def average_set_size(include):
+    """Mean cardinality of the prediction sets of an (..., n, K) inclusion matrix."""
+    return _leading(_inclusion(include).sum(axis=-1).mean(axis=-1))
 
 
-def point_accuracy(preds, labels, count_empty_as_error: bool = True) -> float:
-    """Fraction correct among size-<=1 prediction sets.
+def point_accuracy(picks, labels, count_empty_as_error: bool = True):
+    """Fraction correct among point predictions.
 
-    Empty predictions count as errors when the flag is set (the default on
-    inlier test data) and are skipped otherwise. ``preds`` are
-    ``PredictionSet`` of K scores each; K bounds the labels.
+    ``picks`` are (..., n) class indices as ``point_labels_from_sets``
+    gives, with -1 for an abstention. Abstentions count as errors when the
+    flag is set (the default on inlier test data) and are skipped otherwise.
     """
-    preds = list(preds)
-    labels = check_class_labels(labels, _class_count(preds))
-    if len(preds) != labels.shape[0]:
+    picks = np.asarray(picks)
+    if picks.size and not np.issubdtype(picks.dtype, np.integer):
+        raise ValueError(f"point predictions must be integer labels, got dtype {picks.dtype}")
+    if picks.size and picks.min() < -1:
+        raise ValueError("point predictions must be class indices, or -1 for an abstention")
+    labels = check_class_labels(labels)
+    if picks.ndim < 1 or picks.shape[-1] != labels.shape[0]:
         raise ValueError("predictions and labels must have equal length")
-    correct = 0
-    considered = 0
-    for s, y in zip(preds, labels):
-        if len(s) > 1:
-            raise ValueError("point accuracy is defined for sets of size <= 1")
-        if len(s) == 0:
-            if count_empty_as_error:
-                considered += 1
-            continue
-        considered += 1
-        correct += int(s.labels[0] == y)
-    if considered == 0:
+    graded = np.ones(picks.shape, dtype=bool) if count_empty_as_error else picks >= 0
+    considered = graded.sum(axis=-1)
+    if np.any(considered == 0):
         raise ValueError("no predictions left to grade")
-    return correct / considered
+    return _leading((picks == labels).sum(axis=-1) / considered)
 
 
 def ood_auc(inlier_scores, ood_scores_):
@@ -228,7 +207,7 @@ def ood_auc(inlier_scores, ood_scores_):
     last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
     rank_sum = (first.sum(axis=-1, where=is_ood) + last.sum(axis=-1, where=is_ood)) / 2.0 + n_ood
     auc = (rank_sum - n_ood * (n_ood + 1) / 2.0) / (n_in * n_ood)
-    return float(auc) if auc.ndim == 0 else auc
+    return _leading(auc)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +449,14 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
         if config.conditional and reps and reps[0]["label_coverage"] is not None:
             stacked = np.vstack([r["label_coverage"] for r in reps])
             counts = np.isfinite(stacked).sum(axis=0)
+            # as in _aggregate: a label with fewer than two finite values has SE 0
+            spread = counts > 1
+            label_se = np.zeros(stacked.shape[1])
+            if spread.any():
+                label_se[spread] = np.nanstd(stacked[:, spread], ddof=1, axis=0) / np.sqrt(counts[spread])
             fields.update(
                 label_coverage=np.nanmean(stacked, axis=0),
-                label_coverage_se=np.nanstd(stacked, ddof=1, axis=0) / np.sqrt(np.maximum(counts, 1)),
+                label_coverage_se=label_se,
                 label_upper_slack=np.vstack([r["label_upper_slack"] for r in reps]).mean(axis=0),
             )
         rows.append(MethodMetrics(method=m, **fields))
@@ -563,7 +547,7 @@ def _evaluate_profiles(config: ExperimentConfig, n_classes: int, prof, y_cal, y_
     out: Dict[str, dict] = {}
 
     # Baseline: top-1 prediction from prototypes built on train + calibration.
-    baseline_acc = float((np.argmax(prof_full_test, axis=1) == y_test).mean())
+    baseline_acc = point_accuracy(np.argmax(prof_full_test, axis=1), y_test)
     out[METHOD_HDC] = {
         "coverage": baseline_acc,
         "size": 1.0,
@@ -593,14 +577,13 @@ def _evaluate_profiles(config: ExperimentConfig, n_classes: int, prof, y_cal, y_
 
     test_scores = scores[:, n_cal : n_cal + n_test]
     include = sets_from_scores(test_scores, thresholds)
-    sizes = include.sum(axis=-1)
-    hits = include[:, np.arange(n_test), y_test]
+    test_abstain = ~include.any(axis=-1)
     picks = point_labels_from_sets(include, test_scores, allow_empty=False)
     metrics = {
-        "coverage": hits.mean(axis=1),
-        "size": sizes.mean(axis=1),
-        "accuracy": (picks == y_test).mean(axis=1),
-        "empty_rate": (sizes == 0).mean(axis=1),
+        "coverage": empirical_coverage(include, y_test),
+        "size": average_set_size(include),
+        "accuracy": point_accuracy(picks, y_test),
+        "empty_rate": test_abstain.mean(axis=1),
     }
     nan = np.full(len(kinds), np.nan)
     metrics.update(auc=nan, minscore_auc=nan, ood_empty_rate=nan)
@@ -611,7 +594,7 @@ def _evaluate_profiles(config: ExperimentConfig, n_classes: int, prof, y_cal, y_
         # them at this alpha; the raw min-score statistic is kept alongside
         # for diagnostics.
         metrics.update(
-            auc=ood_auc((sizes == 0).astype(np.float64), ood_abstain.astype(np.float64)),
+            auc=ood_auc(test_abstain.astype(np.float64), ood_abstain.astype(np.float64)),
             minscore_auc=ood_auc(ood_scores(test_scores), ood_scores(ood_mat)),
             ood_empty_rate=ood_abstain.mean(axis=1),
         )
@@ -620,6 +603,7 @@ def _evaluate_profiles(config: ExperimentConfig, n_classes: int, prof, y_cal, y_
     if config.conditional:
         # hits per label as exact integer counts, then each label's share
         per_label = np.bincount(y_test, minlength=n_classes)
+        hits = include[:, np.arange(n_test), y_test]
         label_hits = hits.astype(np.float64) @ (y_test[:, None] == np.arange(n_classes))
         label_coverage = np.where(per_label > 0, label_hits / np.maximum(per_label, 1), np.nan)
         label_upper_slack = [1.0 / (1.0 + c.counts.astype(np.float64)) for c in calibrators]

@@ -10,7 +10,7 @@ Two dense representations are supported:
 Bundling accumulates element-wise sums into a real accumulator that is
 binarized back to bipolar form with a sign function (ties at zero map to
 +1 so repeated runs agree bit for bit). Temporal superpositions of phasors
-are kept as unnormalized complex accumulators.
+are kept as unnormalized complex arrays.
 
 All similarity metrics are standardized to be nonnegative so downstream
 scoring can treat them as evidence: cosine and Hamming map into [0, 1],
@@ -24,7 +24,7 @@ object, so hypervectors are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "SIMILARITY_KINDS",
     "TWO_PI",
     "BipolarHypervector",
-    "ComplexAccumulator",
     "ComplexHypervector",
     "RealAccumulator",
     "bind",
@@ -123,32 +122,6 @@ class ComplexHypervector:
         return np.exp(1j * self.phases)
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexAccumulator:
-    """Unnormalized complex vector (superposition of phasors).
-
-    Per-element magnitudes may exceed one; the complex cosine similarity is
-    still evaluated as Re[h1^T conj(h2)] / d on the raw values.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("complex accumulator must be a nonempty 1-d sequence")
-        object.__setattr__(self, "values", _freeze(arr))
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[0]
-
-
-Hypervector = Union[BipolarHypervector, ComplexHypervector]
-RealLike = Union[BipolarHypervector, RealAccumulator]
-ComplexLike = Union[ComplexHypervector, ComplexAccumulator]
-
-
 def random_bipolar(d: int, seed) -> BipolarHypervector:
     """Draw a vector with i.i.d. uniform {-1, +1} entries.
 
@@ -227,77 +200,25 @@ def permute(h, k: int):
     raise TypeError(f"cannot permute {type(h).__name__}")
 
 
-def _real_elements(h) -> np.ndarray:
+def _values(h) -> np.ndarray:
     if isinstance(h, (BipolarHypervector, RealAccumulator)):
-        return np.asarray(h.elements, dtype=np.float64)
-    raise TypeError(
-        f"{type(h).__name__} is not a real/bipolar hypervector; "
-        "use kind='complex_cosine' for complex representations"
-    )
-
-
-def _complex_values(h) -> np.ndarray:
+        return h.elements
     if isinstance(h, ComplexHypervector):
         return h.as_complex()
-    if isinstance(h, ComplexAccumulator):
-        return h.values
-    raise TypeError(
-        f"{type(h).__name__} is not a complex hypervector; "
-        "kind='complex_cosine' applies to complex representations only"
-    )
-
-
-def _cosine_normalized(a: np.ndarray, b: np.ndarray) -> float:
-    aa = float(np.dot(a, a))
-    bb = float(np.dot(b, b))
-    if aa == 0.0 or bb == 0.0:
-        # Degenerate zero accumulator: treat as orthogonal.
-        return 0.5
-    # sqrt(aa * bb) keeps self-similarity at exactly 1.0 for integer dots.
-    cos = float(np.dot(a, b)) / np.sqrt(aa * bb)
-    return (min(max(cos, -1.0), 1.0) + 1.0) / 2.0
-
-
-def _inverse_euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    dist = float(np.linalg.norm(a - b))
-    return min(1.0 / (dist + EPS), INVERSE_EUCLIDEAN_CAP)
-
-
-def _hamming_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    return 1.0 - float(np.count_nonzero(a != b)) / a.shape[0]
-
-
-def _complex_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    re = float(np.real(np.dot(a, np.conj(b)))) / a.shape[0]
-    # Unit-modulus inputs land in [0, 1]; raw accumulators may exceed 1 but
-    # are floored at 0 so scores can treat the output as evidence.
-    return max((re + 1.0) / 2.0, 0.0)
+    return np.asarray(h)
 
 
 def similarity(h1, h2, kind: str) -> float:
     """Standardized nonnegative similarity between two hypervectors.
 
-    ``cosine_normalized`` maps the raw cosine linearly onto [0, 1];
-    ``inverse_euclidean`` is 1/(L2 distance + EPS) capped at 1/EPS;
-    ``hamming_similarity`` is 1 - (mismatch count)/d; ``complex_cosine``
-    is (Re[h1^T conj(h2)]/d + 1)/2. All kinds are symmetric in their
-    arguments.
+    A one-pair call to :func:`similarity_matrix`. Each argument is a
+    hypervector value or a plain 1-d array: bipolar, real and complex
+    values as the kinds there take them.
     """
-    if kind not in SIMILARITY_KINDS:
-        raise ValueError(f"unknown similarity kind {kind!r}; expected one of {SIMILARITY_KINDS}")
-    if kind == "complex_cosine":
-        a, b = _complex_values(h1), _complex_values(h2)
-        if a.shape[0] != b.shape[0]:
-            raise ValueError("dimension mismatch in similarity")
-        return _complex_cosine(a, b)
-    a, b = _real_elements(h1), _real_elements(h2)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("dimension mismatch in similarity")
-    if kind == "cosine_normalized":
-        return _cosine_normalized(a, b)
-    if kind == "inverse_euclidean":
-        return _inverse_euclidean(a, b)
-    return _hamming_similarity(a, b)
+    a, b = _values(h1), _values(h2)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError("similarity takes two single hypervectors; use similarity_matrix for batches")
+    return float(similarity_matrix(a, b, kind)[0, 0])
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
@@ -308,16 +229,26 @@ def _require_finite(*arrays: np.ndarray) -> None:
 def similarity_matrix(queries: np.ndarray, prototypes: np.ndarray, kind: str) -> np.ndarray:
     """Similarity of every query row against every prototype row.
 
-    Vectorized companion of :func:`similarity` used on (n, d) query and
-    (K, d) prototype arrays; returns an (n, K) float64 matrix. Real kinds
-    take real arrays, ``complex_cosine`` takes complex arrays. NaN or
-    infinite inputs raise ValueError rather than give a finite profile; the
-    check reads the per-row sums of squares or the (n, K) complex cosines.
+    Takes (n, d) queries and (K, d) prototypes (a 1-d array is one row) and
+    returns an (n, K) float64 matrix. ``cosine_normalized`` maps the raw
+    cosine linearly onto [0, 1] (a zero row scores 0.5);
+    ``inverse_euclidean`` is 1/(L2 distance + EPS) capped at 1/EPS;
+    ``hamming_similarity`` is 1 - (mismatch count)/d; ``complex_cosine`` is
+    (Re[q^T conj(p)]/d + 1)/2, floored at 0 for unnormalized sums. Real
+    kinds take real arrays and ``complex_cosine`` complex ones; any other
+    pairing raises TypeError. NaN or infinite inputs raise ValueError
+    rather than give a finite profile; the check reads the per-row sums of
+    squares or the (n, K) complex cosines.
     """
     if kind not in SIMILARITY_KINDS:
         raise ValueError(f"unknown similarity kind {kind!r}; expected one of {SIMILARITY_KINDS}")
     q = np.atleast_2d(queries)
     p = np.atleast_2d(prototypes)
+    if kind == "complex_cosine":
+        if not (np.iscomplexobj(q) and np.iscomplexobj(p)):
+            raise TypeError("kind='complex_cosine' applies to complex codes only")
+    elif np.iscomplexobj(q) or np.iscomplexobj(p):
+        raise TypeError(f"kind={kind!r} applies to real codes; use 'complex_cosine' for complex ones")
     if q.shape[1] != p.shape[1]:
         raise ValueError("dimension mismatch between queries and prototypes")
 

@@ -24,7 +24,7 @@ from conformal_hdc.conformal import (
     sets_from_scores,
 )
 from conformal_hdc.datasets import SpikeSurrogateConfig, generate_spike_surrogate, ingest_mnist
-from conformal_hdc.encoders import BinaryImageEncoder, FpeProjection, IdentityEncoder, encode_fpe
+from conformal_hdc.encoders import BinaryImageEncoder, FpeProjection, IdentityEncoder
 from conformal_hdc.evaluation import ExperimentConfig, run_experiment
 from conformal_hdc.hypervectors import similarity, similarity_matrix
 from conformal_hdc.synthetic import SyntheticConfig, generate_synthetic
@@ -235,7 +235,7 @@ def test_criterion_6_fpe_kernel_fidelity():
         x, xp = rng.normal(size=10), rng.normal(size=10)
         r2 = float(np.sum((x - xp) ** 2))
         expected = (np.exp(-(0.3**2) * r2 / 2.0) + 1.0) / 2.0
-        got = similarity(encode_fpe(x, proj), encode_fpe(xp, proj), "complex_cosine")
+        got = similarity(np.exp(1j * proj.phases(x)), np.exp(1j * proj.phases(xp)), "complex_cosine")
         worst = max(worst, abs(got - expected))
         assert abs(got - expected) < 0.02
     report("criterion 6", True, f"worst kernel deviation {worst:.4f} < 0.02 over 50 pairs")

@@ -13,7 +13,7 @@ from conformal_hdc.classifier import (
     prototypes_from_encoded,
     train_prototypes,
 )
-from conformal_hdc.encoders import BinaryImageEncoder, IdentityEncoder, TrigramTextEncoder
+from conformal_hdc.encoders import BinaryImageEncoder, IdentityEncoder, TemporalFpeEncoder, TrigramTextEncoder
 from conformal_hdc.hypervectors import similarity_matrix
 from conformal_hdc.synthetic import SyntheticConfig, class_centers
 
@@ -235,6 +235,25 @@ class TestModelSurface:
         model = identity_model(np.eye(3, 2), [0, 1, 2])
         with pytest.raises(ValueError, match="prototypes must be"):
             TrainedModel(model.encoder, np.zeros(shape), model.similarity_kind, model.style, model.labels)
+
+    def test_unknown_similarity_kind_rejected(self):
+        model = identity_model(np.eye(3, 2), [0, 1, 2])
+        with pytest.raises(ValueError, match="unknown similarity kind"):
+            TrainedModel(model.encoder, model.prototypes, "dot", model.style, model.labels)
+
+    def test_complex_codes_need_complex_cosine(self):
+        # real kinds used to drop the imaginary parts with only a ComplexWarning
+        X = np.random.default_rng(7).poisson(2.0, size=(6, 3, 2)).astype(np.float64)
+        enc = TemporalFpeEncoder(p=3, d=32, t_max=2, seed=1)
+        for kind in ("cosine_normalized", "inverse_euclidean", "hamming_similarity"):
+            with pytest.raises(ValueError, match="does not fit complex codes"):
+                train_prototypes(X, [0, 1, 2] * 2, enc, "raw_complex", kind)
+        assert train_prototypes(X, [0, 1, 2] * 2, enc, "raw_complex", "complex_cosine").n_classes == 3
+
+    @pytest.mark.parametrize("style", ["centroid", "l2_normalized_real"])
+    def test_real_codes_reject_complex_cosine(self, style):
+        with pytest.raises(ValueError, match="does not fit real codes"):
+            identity_model(np.eye(3, 2), [0, 1, 2], kind="complex_cosine", style=style)
 
     def test_single_sample_shape_guard(self):
         feats = np.random.default_rng(6).normal(size=(6, 2))

@@ -46,6 +46,52 @@ class TestBuildConfig:
             build_config({"n_per_class": value})
 
 
+    @pytest.mark.parametrize("key", ["alhpa", "repetition", "languages_dir_sha256", "score"])
+    def test_unknown_key_rejected(self, key):
+        # a misspelled key used to run silently at the field's default
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            build_config({key: "0.05"})
+
+    def test_aliases_and_field_names_set_the_same_field(self):
+        by_alias = build_config({"lambda": "0.25", "reps": "7", "scores": "ratio, discount"})
+        by_field = build_config({"lam": "0.25", "repetitions": "7", "score_kinds": "ratio,discount"})
+        assert by_alias == by_field
+        assert (by_alias.lam, by_alias.repetitions, by_alias.score_kinds) == (0.25, 7, ("ratio", "discount"))
+        with pytest.raises(ValueError, match="both set repetitions"):
+            build_config({"reps": "7", "repetitions": "8"})
+
+    def test_every_field_parsed_by_its_type(self):
+        config = build_config({
+            "dataset": "spike_surrogate", "alpha": "0.2", "d": "64", "seed": "3",
+            "fractions": "0.5, 0.3, 0.2", "ood_holdout": "run, walk", "temperature": "2",
+            "conditional": "yes", "levels": "5", "beta": "0.4", "sigma3": "3.5",
+            "n_per_class": "9", "n_ood": "11", "spike_classes": "3", "spike_neurons": "12",
+            "spike_bins": "6", "spike_per_class": "20", "spike_ood": "10", "spike_rate_scale": "1.5",
+        })
+        assert config.fractions == (0.5, 0.3, 0.2) and config.ood_holdout == ("run", "walk")
+        assert config.conditional is True and config.n_per_class == (9, 9, 9)
+        assert (config.d, config.levels, config.spike_bins) == (64, 5, 6)
+        assert (config.beta, config.sigma3, config.spike_rate_scale) == (0.4, 3.5, 1.5)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("reps", "x", "reps must be an integer"),
+            ("lambda", "q", "lambda must be a number"),
+            ("conditional", "maybe", "conditional must be true/false"),
+            ("fractions", "0.5, 0.5", "fractions must be three comma-separated numbers"),
+        ],
+    )
+    def test_messages_name_the_key_as_written(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            build_config({key: value})
+
+    def test_path_keys_and_output_directory_pass(self):
+        options = {"out": "o", "languages_dir": "l", "isolet_path": "i", "isolet_path_sha256": "0" * 64,
+                   "mnist_images": "a", "mnist_labels": "b", "mnist_images_sha256": "0", "mnist_labels_sha256": "0"}
+        assert build_config(options) == build_config({})
+
+
 class TestMain:
     def test_deterministic_output_bytes(self, tmp_path):
         args = ["--dataset", "synthetic", "--alpha", "0.1", "--reps", "4", "--seed", "7"]
@@ -106,6 +152,20 @@ class TestMain:
         payload = json.loads((out / "results.json").read_text())
         assert payload["config"]["repetitions"] == 3  # flag wins
         assert payload["config"]["seed"] == 5
+
+    def test_flag_overrides_the_field_name_in_the_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dataset = synthetic\nrepetitions = 2\nn_ood = 20\n")
+        out = tmp_path / "out"
+        assert run_cli(["--config", str(cfg), "--reps", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "results.json").read_text())["config"]["repetitions"] == 3
+
+    def test_misspelled_key_fails_the_run(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dataset = synthetic\nalhpa = 0.05\n")
+        assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "unknown config key 'alhpa'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_checksum_verification(self, tmp_path, capsys):
         images = np.zeros((20, 3, 3), dtype=np.uint8)

@@ -16,13 +16,12 @@ from conformal_hdc.conformal import (
     calibrate_conditional,
     calibrate_marginal,
     calibration_scores,
-    inverse_quantile_score,
-    nonconformity,
     ood_scores,
     point_labels_from_sets,
     predict_point,
     predict_set_conditional,
     predict_set_marginal,
+    predict_sets,
     quantile_index,
     score_matrix,
     sets_from_scores,
@@ -32,6 +31,11 @@ from conformal_hdc.encoders import IdentityEncoder
 
 PROFILE = np.array([0.8, 0.1, 0.1])
 
+def score(profile, y, kind, **kw):
+    """Score of label ``y`` for one profile: row 0 of ``score_matrix`` on a batch of one."""
+    return score_matrix(np.asarray(profile, dtype=np.float64)[None, :], kind, **kw)[0, y]
+
+
 profiles_01 = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=2, max_size=8
 ).filter(lambda p: sum(p) > 1e-9)
@@ -39,28 +43,28 @@ profiles_01 = st.lists(
 
 class TestScores:
     def test_hand_values(self):
-        assert nonconformity(PROFILE, 0, "similarity") == pytest.approx(-0.8)
-        assert nonconformity(PROFILE, 0, "ratio") == pytest.approx(-0.8)
-        assert nonconformity(PROFILE, 0, "discount") == pytest.approx(-0.64)
-        assert nonconformity(PROFILE, 0, "penalized", lam=0.5) == pytest.approx(-0.7)
+        assert score(PROFILE, 0, "similarity") == pytest.approx(-0.8)
+        assert score(PROFILE, 0, "ratio") == pytest.approx(-0.8)
+        assert score(PROFILE, 0, "discount") == pytest.approx(-0.64)
+        assert score(PROFILE, 0, "penalized", lam=0.5) == pytest.approx(-0.7)
 
     def test_uniform_profile_discount(self):
-        assert nonconformity([0.5, 0.5], 0, "discount") == pytest.approx(-0.25)
+        assert score([0.5, 0.5], 0, "discount") == pytest.approx(-0.25)
 
     @given(profiles_01, st.integers(0, 7))
     @settings(max_examples=60, deadline=None)
     def test_penalized_lambda_zero_is_similarity(self, profile, y):
         y = y % len(profile)
-        a = nonconformity(profile, y, "penalized", lam=0.0)
-        b = nonconformity(profile, y, "similarity")
+        a = score(profile, y, "penalized", lam=0.0)
+        b = score(profile, y, "similarity")
         assert a == pytest.approx(b, abs=1e-12)
 
     @given(profiles_01, st.integers(0, 7))
     @settings(max_examples=60, deadline=None)
     def test_discount_is_ratio_times_delta(self, profile, y):
         y = y % len(profile)
-        ratio = nonconformity(profile, y, "ratio")
-        discount = nonconformity(profile, y, "discount")
+        ratio = score(profile, y, "ratio")
+        discount = score(profile, y, "discount")
         assert discount == pytest.approx(ratio * profile[y], abs=1e-12)
         # entries in [0, 1] keep |discount| <= |ratio|, so discount >= ratio
         assert discount >= ratio - 1e-12
@@ -73,7 +77,7 @@ class TestScores:
             scores = score_matrix(np.array([[0.0, 0.0, 0.0], PROFILE]), kind)
             assert scores[0].tolist() == [0.0, 0.0, 0.0]
             np.testing.assert_array_equal(scores[1], score_matrix(PROFILE, kind)[0])
-            assert nonconformity([0.0, 0.0], 0, kind) == 0.0
+            assert score([0.0, 0.0], 0, kind) == 0.0
             ps = predict_set_marginal(_ProfileModel([0.0, 0.0, 0.0]), calib, None, kind)
             assert len(ps) == 0
 
@@ -89,11 +93,11 @@ class TestScores:
 
     def test_negative_profile_rejected(self):
         with pytest.raises(ValueError):
-            nonconformity([0.5, -0.1], 0, "similarity")
+            score([0.5, -0.1], 0, "similarity")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            nonconformity([0.5, 0.5], 0, "entropy")
+            score([0.5, 0.5], 0, "entropy")
 
 
 class TestInverseQuantileScore:
@@ -101,31 +105,31 @@ class TestInverseQuantileScore:
     PI_PROFILE = np.log(np.array([0.6, 0.3, 0.1])) - np.log(0.1)
 
     def test_top_class_u_one_scores_zero(self):
-        assert inverse_quantile_score(self.PI_PROFILE, 0, u=1.0) == pytest.approx(0.0, abs=1e-12)
+        assert score(self.PI_PROFILE, 0, "inverse_quantile", u=[1.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_top_class_u_zero(self):
-        assert inverse_quantile_score(self.PI_PROFILE, 0, u=0.0) == pytest.approx(-0.6)
+        assert score(self.PI_PROFILE, 0, "inverse_quantile", u=[0.0]) == pytest.approx(-0.6)
 
     def test_middle_class_cumulative(self):
         # mass through rank 2 is 0.9; u removes a fraction of 0.3
-        assert inverse_quantile_score(self.PI_PROFILE, 1, u=0.0) == pytest.approx(-0.9)
-        assert inverse_quantile_score(self.PI_PROFILE, 1, u=1.0) == pytest.approx(-0.6)
+        assert score(self.PI_PROFILE, 1, "inverse_quantile", u=[0.0]) == pytest.approx(-0.9)
+        assert score(self.PI_PROFILE, 1, "inverse_quantile", u=[1.0]) == pytest.approx(-0.6)
 
     def test_uniform_profile_rank_tie_break(self):
         k = 4
         profile = np.full(k, 0.25)
         for y in range(k):
-            pre = -inverse_quantile_score(profile, y, u=0.0)
+            pre = -score(profile, y, "inverse_quantile", u=[0.0])
             assert pre == pytest.approx((y + 1) / k)
             assert 1.0 / k - 1e-12 <= pre <= 1.0 + 1e-12
 
     def test_u_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            inverse_quantile_score([0.5, 0.5], 0, u=1.5)
+            score([0.5, 0.5], 0, "inverse_quantile", u=[1.5])
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
-            inverse_quantile_score([0.5, 0.5], 0, u=0.5, temperature=0.0)
+            score([0.5, 0.5], 0, "inverse_quantile", u=[0.5], temperature=0.0)
 
     def test_softmax_rows_sum_to_one(self):
         z = np.random.default_rng(0).normal(size=(5, 4))
@@ -262,14 +266,20 @@ class TestCalibration:
 
 
 class _ProfileModel:
-    """Stub model returning a fixed similarity profile."""
+    """Stub model giving every input the same fixed similarity profile."""
 
     def __init__(self, profile):
         self.profile = np.asarray(profile, dtype=float)
         self.labels = np.arange(self.profile.shape[0])
 
+    def _as_batch(self, x):
+        return [x]
+
+    def similarity_profiles(self, X):
+        return np.tile(self.profile, (len(X), 1))
+
     def similarity_profile(self, x):
-        return self.profile
+        return self.similarity_profiles(self._as_batch(x))[0]
 
 
 class TestPredictionSets:
@@ -342,6 +352,54 @@ class TestPredictionSets:
             if prev is not None:
                 assert np.all(include | ~prev == include)  # prev subset of include
             prev = include
+
+
+class TestPredictSets:
+    """The batch entry point, and the single-input functions as its batch-of-one calls."""
+
+    @pytest.fixture
+    def fitted(self):
+        rng = np.random.default_rng(21)
+        centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+        y = rng.integers(0, 3, size=240)
+        X = centers[y] + rng.normal(0.0, 1.2, size=(240, 2))
+        model = train_prototypes(X[:120], y[:120], IdentityEncoder(2), "centroid", "inverse_euclidean")
+        u = rng.uniform(size=240)
+        queries = np.concatenate([X[200:], [[40.0, 40.0], [2.0, 2.0]]])
+        return model, X[120:200], y[120:200], u, queries
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_rows_equal_single_input_calls(self, fitted, kind):
+        model, X_cal, y_cal, u, queries = fitted
+        cal = calibration_scores(model.similarity_profiles(X_cal), y_cal, kind, u=u[:80])
+        calibrators = (calibrate_marginal(cal, 0.2), calibrate_conditional(cal, y_cal, 0.2, 3))
+        u_q = u[80 : 80 + len(queries)]
+        for calib, single in zip(calibrators, (predict_set_marginal, predict_set_conditional)):
+            include, scores = predict_sets(model, calib, queries, kind, u=u_q)
+            assert include.shape == scores.shape == (len(queries), 3)
+            np.testing.assert_array_equal(include, sets_from_scores(scores, calib.thresholds(3)))
+            picks = point_labels_from_sets(include, scores, allow_empty=True)
+            for i, x in enumerate(queries):
+                ps = single(model, calib, x, kind, u=u_q[i])
+                assert ps.labels.tolist() == np.flatnonzero(include[i]).tolist()
+                point = predict_point(model, calib, x, kind, allow_empty=True, u=u_q[i])
+                assert point.labels.tolist() == ([] if picks[i] < 0 else [picks[i]])
+
+    def test_randomized_kind_needs_draws(self, fitted):
+        model, _, _, _, queries = fitted
+        calib = MarginalCalibrator(q_hat=-0.5, alpha=0.1, n_cal=10)
+        with pytest.raises(ValueError, match="uniform draw"):
+            predict_sets(model, calib, queries, "inverse_quantile")
+        with pytest.raises(ValueError, match="one uniform draw per profile row"):
+            predict_sets(model, calib, queries, "inverse_quantile", u=np.full(3, 0.5))
+        with pytest.raises(ValueError, match="uniform draw"):
+            predict_set_marginal(model, calib, queries[0], "inverse_quantile")
+
+    def test_conditional_calibrator_checks_the_class_count(self, fitted):
+        model, _, _, _, queries = fitted
+        calib = ConditionalCalibrator(q_hat_per_label=np.zeros(4), alpha=0.1, counts=np.ones(4))
+        with pytest.raises(ValueError, match="class count"):
+            predict_sets(model, calib, queries, "similarity")
 
 
 class TestPointPrediction:

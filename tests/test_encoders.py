@@ -16,19 +16,13 @@ from conformal_hdc.encoders import (
     FpeProjection,
     ItemMemory,
     LevelMemory,
-    PositionBank,
     QuantizationGrid,
     QuantizedFeatureEncoder,
     TemporalFpeEncoder,
+    IdentityEncoder,
     TrigramTextEncoder,
     _add_unit_phasors,
     _split_steps,
-    encode_fpe,
-    encode_identity,
-    encode_image_binary,
-    encode_quantized_features,
-    encode_temporal_trajectory,
-    encode_trigram_text,
     preprocess_text,
 )
 from conformal_hdc.hypervectors import (
@@ -122,31 +116,29 @@ class TestQuantizationGrid:
 
 class TestBinaryImageEncoding:
     def test_single_active_pixel_returns_position_vector(self):
-        im = ItemMemory(10, 64, seed=4)
-        pixels = np.zeros(10)
-        pixels[3] = 1
-        out = encode_image_binary(pixels, im)
-        np.testing.assert_array_equal(out.elements, im.vectors[3])
+        enc = BinaryImageEncoder(p=10, d=64, seed=4)
+        pixels = np.zeros((1, 10))
+        pixels[0, 3] = 1
+        np.testing.assert_array_equal(enc.encode_batch(pixels)[0], enc.im.vectors[3])
 
     def test_all_zero_image_is_all_plus_one(self):
-        im = ItemMemory(10, 32, seed=4)
-        out = encode_image_binary(np.zeros(10), im)
-        np.testing.assert_array_equal(out.elements, np.ones(32))
+        enc = BinaryImageEncoder(p=10, d=32, seed=4)
+        np.testing.assert_array_equal(enc.encode_batch(np.zeros((1, 10)))[0], np.ones(32))
 
     def test_length_mismatch_rejected(self):
-        im = ItemMemory(10, 32, seed=4)
+        enc = BinaryImageEncoder(p=10, d=32, seed=4)
         with pytest.raises(ValueError):
-            encode_image_binary(np.zeros(9), im)
+            enc.encode_batch(np.zeros((1, 9)))
 
     def test_nonbinary_rejected(self):
-        im = ItemMemory(4, 32, seed=4)
+        enc = BinaryImageEncoder(p=4, d=32, seed=4)
         with pytest.raises(ValueError):
-            encode_image_binary(np.array([0.0, 0.5, 1.0, 0.0]), im)
+            enc.encode_batch(np.array([[0.0, 0.5, 1.0, 0.0]]))
 
     def test_one_pixel_of_200_barely_changes_encoding(self):
         rng = np.random.default_rng(0)
         for trial in range(5):
-            im = ItemMemory(400, 10_000, seed=100 + trial)
+            enc = BinaryImageEncoder(p=400, d=10_000, seed=100 + trial)
             base = np.zeros(400)
             active = rng.choice(400, size=200, replace=False)
             base[active] = 1
@@ -154,31 +146,29 @@ class TestBinaryImageEncoding:
             swap_out, swap_in = active[0], [j for j in range(400) if base[j] == 0][0]
             other[swap_out] = 0
             other[swap_in] = 1
-            sim = similarity(
-                encode_image_binary(base, im), encode_image_binary(other, im), "cosine_normalized"
-            )
+            sim = similarity(*enc.encode_batch(np.stack([base, other])), "cosine_normalized")
             assert sim > 0.95
 
-    def test_batch_matches_single(self):
+    def test_batch_matches_sign_of_position_sum(self):
         # an even pixel count ties at 0 on some positions, and the blank image everywhere
         enc = BinaryImageEncoder(p=12, d=64, seed=5)
         X = (np.random.default_rng(1).uniform(size=(6, 12)) > 0.5).astype(np.uint8)
         X[5] = 0
         batch = enc.encode_batch(X)
         assert batch.dtype == np.int8
+        want = np.where(X.astype(np.int64) @ enc.im.vectors >= 0, 1, -1)
+        np.testing.assert_array_equal(batch, want)
         for i in range(6):
-            np.testing.assert_array_equal(batch[i], enc.encode(X[i]).elements)
+            np.testing.assert_array_equal(batch[i], enc.encode_batch(X[i : i + 1])[0])
 
 
 class TestQuantizedEncoding:
     def test_single_feature_is_bound_pair(self):
-        im = ItemMemory(1, 64, seed=6)
-        lm = LevelMemory(64, levels=4, seed=7)
-        grid = QuantizationGrid(mins=np.array([0.0]), maxs=np.array([1.0]), levels=4)
-        out = encode_quantized_features(np.array([0.9]), grid, im, lm)
-        level = grid.quantize(np.array([0.9]))[0][0]
-        want = bind(BipolarHypervector(im.vectors[0]), BipolarHypervector(lm.vectors[level]))
-        np.testing.assert_array_equal(out.elements, want.elements)
+        enc = QuantizedFeatureEncoder(p=1, d=64, levels=4, seed=6).fit(np.array([[0.0], [1.0]]))
+        out = enc.encode_batch(np.array([[0.9]]))[0]
+        level = enc.grid.quantize(np.array([0.9]))[0][0]
+        want = bind(BipolarHypervector(enc.im.vectors[0]), BipolarHypervector(enc.lm.vectors[level]))
+        np.testing.assert_array_equal(out, want.elements)
 
     def test_training_minimum_hits_level_zero(self):
         X = np.random.default_rng(2).uniform(size=(50, 8))
@@ -197,13 +187,19 @@ class TestQuantizedEncoding:
             # shift one feature by exactly one quantization level
             span = (enc.grid.maxs[0] - enc.grid.mins[0]) / enc.levels
             moved[0] = min(moved[0] + span, enc.grid.maxs[0])
-            sim = similarity(enc.encode(x), enc.encode(moved), "cosine_normalized")
+            sim = similarity(*enc.encode_batch(np.stack([x, moved])), "cosine_normalized")
             assert sim > 0.99
 
     def test_unfitted_grid_rejected(self):
         enc = QuantizedFeatureEncoder(p=4, d=32, levels=5, seed=0)
         with pytest.raises(RuntimeError):
-            enc.encode(np.zeros(4))
+            enc.encode_batch(np.zeros((1, 4)))
+
+    def test_grid_of_another_feature_count_rejected(self):
+        # the check the deleted single-row encoder made, now on the batch path
+        enc = QuantizedFeatureEncoder(p=4, d=32, levels=5, seed=0).fit(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="different feature count"):
+            enc.encode_batch(np.zeros((2, 4)))
 
     # the former fixed case, then levels=2, odd d, d < 2*(levels-1) (LevelMemory
     # flips nothing) and p = d = 1
@@ -236,7 +232,7 @@ class TestQuantizedEncoding:
         assert batch.dtype == np.int8 and batch.flags.c_contiguous
         np.testing.assert_array_equal(batch, _quantized_sign_reference(enc, X))
         for i in range(X.shape[0]):
-            np.testing.assert_array_equal(batch[i], enc.encode(X[i]).elements)
+            np.testing.assert_array_equal(batch[i], enc.encode_batch(X[i : i + 1])[0])
 
     def test_batch_exact_for_any_level_table(self):
         # flip sets of different steps overlap here, unlike LevelMemory's
@@ -270,7 +266,7 @@ class TestQuantizedEncoding:
         row = X[0].copy()
         row[2] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
-            enc.encode(row)
+            enc.encode_batch(row[None])
         with pytest.raises(ValueError, match="NaN or infinite"):
             enc.encode_batch(np.stack([X[1], row]))
         with pytest.raises(ValueError, match="NaN or infinite"):
@@ -323,24 +319,22 @@ class TestTrigramEncoding:
         from conformal_hdc.hypervectors import permute
 
         want = bind(bind(sa, permute(sb, 1)), permute(sc, 2))
-        got = encode_trigram_text("abc", im)
-        np.testing.assert_array_equal(got.elements, want.elements)
+        got = enc.encode_batch(["abc"])[0]
+        np.testing.assert_array_equal(got, want.elements)
 
     def test_too_short_gives_all_plus_one(self):
         enc = TrigramTextEncoder(d=32, seed=9)
-        np.testing.assert_array_equal(enc.encode("ab").elements, np.ones(32))
-        np.testing.assert_array_equal(enc.encode("").elements, np.ones(32))
+        np.testing.assert_array_equal(enc.encode_batch(["ab", ""]), np.ones((2, 32)))
 
     def test_distinct_trigrams_quasi_orthogonal(self):
         enc = TrigramTextEncoder(d=10_000, seed=10)
-        sim = similarity(enc.encode("abc"), enc.encode("acb"), "cosine_normalized")
+        sim = similarity(*enc.encode_batch(["abc", "acb"]), "cosine_normalized")
         assert abs(sim - 0.5) < 0.05
 
     def test_out_of_vocabulary_dropped(self):
         enc = TrigramTextEncoder(d=64, seed=11)
-        np.testing.assert_array_equal(
-            enc.encode("a1b!c").elements, enc.encode("abc").elements
-        )
+        oov, plain = enc.encode_batch(["a1b!c", "abc"])
+        np.testing.assert_array_equal(oov, plain)
 
     @pytest.mark.parametrize("length", [129, 130, 1000])
     def test_long_text_sums_exactly(self, length):
@@ -356,7 +350,7 @@ class TestTrigramEncoding:
             for a, b, c in zip(idx, idx[1:], idx[2:]):
                 total += sv[a] * np.roll(sv[b], 1) * np.roll(sv[c], 2)
             want = np.where(total >= 0, 1, -1)
-            np.testing.assert_array_equal(encode_trigram_text(text, enc.im).elements, want)
+            np.testing.assert_array_equal(enc.encode_batch([text])[0], want)
 
     # "a" * n repeats one trigram n - 2 times, so a uint8 count of 256 or more
     # bits would wrap and flip every sign; widths that are not a multiple of 8
@@ -386,8 +380,7 @@ class TestTrigramEncoding:
         assert batch.shape == (len(texts), d) and batch.dtype == np.int8
         for row, text in zip(batch, texts):
             np.testing.assert_array_equal(row, _trigram_sign_reference(text, enc.im.vectors))
-            np.testing.assert_array_equal(row, enc.encode(text).elements)
-            np.testing.assert_array_equal(row, encode_trigram_text(text, enc.im).elements)
+            np.testing.assert_array_equal(row, enc.encode_batch([text])[0])
 
     def test_batch_rejects_bare_string(self):
         # iterating a string would encode each character as its own text
@@ -405,13 +398,12 @@ class TestTrigramEncoding:
 class TestFpeEncoding:
     def test_zero_input_gives_zero_phases(self):
         proj = FpeProjection(p=5, d=32, beta=0.3, seed=12)
-        out = encode_fpe(np.zeros(5), proj)
-        np.testing.assert_array_equal(out.phases, np.zeros(32))
+        np.testing.assert_array_equal(proj.phases(np.zeros(5)), np.zeros(32))
 
     def test_self_similarity_is_one(self):
         proj = FpeProjection(p=5, d=64, beta=0.3, seed=13)
         x = np.random.default_rng(5).normal(size=5)
-        h = encode_fpe(x, proj)
+        h = np.exp(1j * proj.phases(x))
         assert similarity(h, h, "complex_cosine") == pytest.approx(1.0, abs=1e-12)
 
     def test_kernel_approximation(self):
@@ -422,13 +414,13 @@ class TestFpeEncoding:
             x, xp = rng.normal(size=8), rng.normal(size=8)
             r2 = float(np.sum((x - xp) ** 2))
             want = (np.exp(-0.09 * r2 / 2.0) + 1.0) / 2.0
-            got = similarity(encode_fpe(x, proj), encode_fpe(xp, proj), "complex_cosine")
+            got = similarity(np.exp(1j * proj.phases(x)), np.exp(1j * proj.phases(xp)), "complex_cosine")
             assert got == pytest.approx(want, abs=0.04)
 
     def test_dimension_mismatch_rejected(self):
         proj = FpeProjection(p=5, d=16, seed=15)
         with pytest.raises(ValueError):
-            encode_fpe(np.zeros(4), proj)
+            proj.phases(np.zeros(4))
 
 
 def _unit_phasors(u, out=None):
@@ -540,50 +532,45 @@ class TestSplitSteps:
 
 class TestTemporalEncoding:
     def test_single_bin_is_bound_fpe(self):
-        proj = FpeProjection(p=4, d=64, beta=0.3, seed=16)
-        bank = PositionBank(d=64, t_max=8, seed=17)
+        enc = TemporalFpeEncoder(p=4, d=64, t_max=8, beta=0.3, seed=16)
         x = np.random.default_rng(7).normal(size=(4, 1))
-        got = encode_temporal_trajectory(x, proj, bank)
-        want = np.exp(1j * (proj.phases(x[:, 0]) + bank.phases_for_bin(1)))
-        np.testing.assert_allclose(got.values, want, atol=1e-12)
+        got = enc.encode_batch(x[None])[0]
+        want = np.exp(1j * (enc.proj.phases(x[:, 0]) + enc.bank.phases_for_bin(1)))
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_column_swap_changes_encoding(self):
-        proj = FpeProjection(p=6, d=2000, beta=0.3, seed=18)
-        bank = PositionBank(d=2000, t_max=4, seed=19)
+        enc = TemporalFpeEncoder(p=6, d=2000, t_max=4, beta=0.3, seed=18)
         rng = np.random.default_rng(8)
         X = rng.normal(size=(6, 3))
         swapped = X[:, [1, 0, 2]]
-        a = encode_temporal_trajectory(X, proj, bank)
-        b = encode_temporal_trajectory(swapped, proj, bank)
+        a, b = enc.encode_batch(np.stack([X, swapped]))
         assert similarity(a, b, "complex_cosine") < similarity(a, a, "complex_cosine")
 
     def test_identical_columns_unrolled(self):
-        proj = FpeProjection(p=3, d=32, beta=0.3, seed=20)
-        bank = PositionBank(d=32, t_max=4, seed=21)
+        enc = TemporalFpeEncoder(p=3, d=32, t_max=4, beta=0.3, seed=20)
         col = np.random.default_rng(9).normal(size=3)
         X = np.stack([col, col], axis=1)
-        got = encode_temporal_trajectory(X, proj, bank)
-        term1 = np.exp(1j * (proj.phases(col) + bank.phases_for_bin(1)))
-        term2 = np.exp(1j * (proj.phases(col) + bank.phases_for_bin(2)))
-        np.testing.assert_allclose(got.values, term1 + term2, atol=1e-12)
+        got = enc.encode_batch(X[None])[0]
+        term1 = np.exp(1j * (enc.proj.phases(col) + enc.bank.phases_for_bin(1)))
+        term2 = np.exp(1j * (enc.proj.phases(col) + enc.bank.phases_for_bin(2)))
+        np.testing.assert_allclose(got, term1 + term2, atol=1e-12)
 
     def test_empty_trajectory_rejected(self):
-        proj = FpeProjection(p=3, d=16, seed=22)
-        bank = PositionBank(d=16, t_max=4, seed=23)
-        with pytest.raises(ValueError):
-            encode_temporal_trajectory(np.zeros((3, 0)), proj, bank)
+        enc = TemporalFpeEncoder(p=3, d=16, t_max=4, seed=22)
+        with pytest.raises(ValueError, match="at least one time bin"):
+            enc.encode_batch(np.zeros((1, 3, 0)))
 
     def test_too_long_trajectory_rejected(self):
         enc = TemporalFpeEncoder(p=3, d=16, t_max=2, seed=24)
         with pytest.raises(ValueError):
-            enc.encode(np.zeros((3, 5)))
+            enc.encode_batch(np.zeros((1, 3, 5)))
 
     def test_non_finite_counts_rejected(self):
         enc = TemporalFpeEncoder(p=4, d=32, t_max=6, seed=26)
         X = np.random.default_rng(11).poisson(3.0, size=(3, 4, 6)).astype(np.float64)
         X[1, 2, 4] = np.nan
         with pytest.raises(ValueError, match="NaN or infinite"):
-            enc.encode(X[1])
+            enc.encode_batch(X[1:2])
         with pytest.raises(ValueError, match="NaN or infinite"):
             enc.encode_batch(X)
 
@@ -629,7 +616,7 @@ class TestTemporalEncoding:
         want, bound = _fpe_reference(enc, X)
         assert np.all(np.abs(batch - want) <= bound)
         for i in range(n):
-            assert np.all(np.abs(batch[i] - enc.encode(X[i]).values) <= bound[i])
+            assert np.all(np.abs(batch[i] - enc.encode_batch(X[i : i + 1])[0]) <= bound[i])
 
     @pytest.mark.parametrize("d, n", [(2000, 20), (10_000, 7), (2001, 16)])
     def test_single_encode_is_its_batch_row_bit_for_bit(self, d, n):
@@ -641,7 +628,7 @@ class TestTemporalEncoding:
         X = np.random.default_rng(d).poisson(2.0, size=(n, 30, 8)).astype(np.float64)
         batch = enc.encode_batch(X)
         for i in range(n):
-            np.testing.assert_array_equal(enc.encode(X[i]).values, batch[i])
+            np.testing.assert_array_equal(enc.encode_batch(X[i : i + 1])[0], batch[i])
 
     def test_batch_memory_independent_of_rows(self):
         # rows are encoded in fixed-size blocks, so beyond the output itself
@@ -660,16 +647,15 @@ class TestTemporalEncoding:
 
 class TestIdentityEncoding:
     def test_passthrough(self):
-        out = encode_identity([1.0, 2.0])
-        np.testing.assert_array_equal(out.elements, [1.0, 2.0])
+        out = IdentityEncoder(2).encode_batch([1.0, 2.0])
+        np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_self_similarity_hits_cap(self):
-        h = encode_identity([1.0, 2.0])
+        h = IdentityEncoder(2).encode_batch([1.0, 2.0])[0]
         assert similarity(h, h, "inverse_euclidean") == INVERSE_EUCLIDEAN_CAP
 
     def test_hand_distance(self):
-        a = encode_identity([0.0, 0.0])
-        b = encode_identity([3.0, 4.0])
+        a, b = IdentityEncoder(2).encode_batch([[0.0, 0.0], [3.0, 4.0]])
         assert similarity(a, b, "inverse_euclidean") == pytest.approx(0.2, abs=1e-10)
 
 

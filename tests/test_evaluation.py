@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conformal_hdc import classifier, evaluation
 from conformal_hdc.classifier import prototypes_from_encoded
 from conformal_hdc.conformal import (
-    PredictionSet,
     calibrate_conditional,
     calibrate_marginal,
     calibration_scores,
@@ -33,10 +32,6 @@ from conformal_hdc.evaluation import (
 )
 from conformal_hdc.hypervectors import EPS, similarity_matrix
 from conformal_hdc.synthetic import SyntheticConfig, generate_synthetic
-
-
-def make_set(labels, k=3):
-    return PredictionSet(labels=np.asarray(labels, dtype=np.int64), scores=np.zeros(k))
 
 
 class TestSplit:
@@ -71,70 +66,97 @@ class TestSplit:
             split_data(2, SplitSpec((0.4, 0.5, 0.1), seed=0))
 
 
+def make_sets(*members, k=3):
+    """An (n, k) inclusion matrix whose row i holds the labels ``members[i]``."""
+    include = np.zeros((len(members), k), dtype=bool)
+    for row, labels in zip(include, members):
+        row[list(labels)] = True
+    return include
+
+
 class TestMetrics:
     def test_coverage_full_sets(self):
-        sets = [make_set([0, 1, 2]) for _ in range(4)]
-        assert empirical_coverage(sets, [0, 1, 2, 0]) == 1.0
+        assert empirical_coverage(np.ones((4, 3), dtype=bool), [0, 1, 2, 0]) == 1.0
 
     def test_coverage_empty_sets(self):
-        sets = [make_set([]) for _ in range(3)]
-        assert empirical_coverage(sets, [0, 1, 2]) == 0.0
+        assert empirical_coverage(np.zeros((3, 3), dtype=bool), [0, 1, 2]) == 0.0
 
     def test_coverage_hand_count(self):
-        sets = [make_set([0]), make_set([1]), make_set([0])]
-        assert empirical_coverage(sets, [0, 0, 0]) == pytest.approx(2 / 3)
+        assert empirical_coverage(make_sets([0], [1], [0]), [0, 0, 0]) == pytest.approx(2 / 3)
 
-    @pytest.mark.parametrize("sets", [[], np.zeros((0, 3), dtype=bool)], ids=["sequence", "matrix"])
+    @pytest.mark.parametrize("sets", [np.zeros((0, 3), dtype=bool), np.zeros((2, 0, 3), dtype=bool)],
+                             ids=["matrix", "leading_axes"])
     def test_coverage_of_no_sets_rejected(self, sets):
         with pytest.raises(ValueError, match="at least one prediction set"):
             empirical_coverage(sets, [])
 
     def test_coverage_length_mismatch(self):
         with pytest.raises(ValueError):
-            empirical_coverage([make_set([0])], [0, 1])
+            empirical_coverage(make_sets([0]), [0, 1])
 
     @pytest.mark.parametrize("labels", [[0.5, 2.9], [-1, 0], [0, 3], [0, 7]])
     def test_coverage_rejects_labels_that_are_not_class_indices(self, labels):
         with pytest.raises(ValueError):
             empirical_coverage(np.ones((2, 3), dtype=bool), labels)
-        # a sequence of sets takes K from its scores
+        # with leading axes K is still the last axis
         with pytest.raises(ValueError):
-            empirical_coverage([make_set([0, 2]), make_set([0, 2])], labels)
+            empirical_coverage(np.ones((4, 2, 3), dtype=bool), labels)
 
-    @pytest.mark.parametrize("labels", [[0.0, 1.0], [-1, 0], [0, 3], [0, 7]])
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [-1, 0]])
     def test_point_accuracy_rejects_labels_that_are_not_class_indices(self, labels):
         with pytest.raises(ValueError):
-            point_accuracy([make_set([0]), make_set([1])], labels)
+            point_accuracy([0, 1], labels)
 
-    def test_label_below_class_count_of_the_scores_is_graded(self):
-        # K = 5 from the scores, though no set holds label 4
-        sets = [make_set([0], k=5), make_set([1], k=5)]
-        assert empirical_coverage(sets, [0, 4]) == 0.5
-        assert point_accuracy(sets, [0, 4]) == 0.5
+    def test_label_below_class_count_is_graded(self):
+        # K = 5 from the matrix, though no set holds label 4
+        assert empirical_coverage(make_sets([0], [1], k=5), [0, 4]) == 0.5
+        assert point_accuracy([0, 1], [0, 4]) == 0.5
 
-    def test_sets_with_different_class_counts_rejected(self):
-        sets = [make_set([0], k=3), make_set([0], k=4)]
-        with pytest.raises(ValueError, match="class count"):
-            empirical_coverage(sets, [0, 0])
-        with pytest.raises(ValueError, match="class count"):
-            point_accuracy(sets, [0, 0])
+    @pytest.mark.parametrize("sets", [np.ones((2, 3)), np.ones(3, dtype=bool)], ids=["float", "one_row"])
+    def test_metrics_take_boolean_inclusion_matrices(self, sets):
+        with pytest.raises(ValueError, match="boolean inclusion matrix"):
+            empirical_coverage(sets, [0, 1])
+        with pytest.raises(ValueError, match="boolean inclusion matrix"):
+            average_set_size(sets)
 
     def test_size_examples(self):
-        assert average_set_size([make_set([0]), make_set([1])]) == 1.0
-        assert average_set_size([make_set([]), make_set([0]), make_set([0, 1, 2])]) == pytest.approx(4 / 3)
-        assert average_set_size([make_set([]), make_set([])]) == 0.0
+        assert average_set_size(make_sets([0], [1])) == 1.0
+        assert average_set_size(make_sets([], [0], [0, 1, 2])) == pytest.approx(4 / 3)
+        assert average_set_size(make_sets([], [])) == 0.0
         with pytest.raises(ValueError):
-            average_set_size([])
+            average_set_size(np.zeros((0, 3), dtype=bool))
 
     def test_point_accuracy_flag_behavior(self):
-        preds = [make_set([0]), make_set([]), make_set([1])]
+        picks = [0, -1, 1]  # -1: an abstention
         labels = [0, 1, 1]
-        assert point_accuracy(preds, labels, count_empty_as_error=True) == pytest.approx(2 / 3)
-        assert point_accuracy(preds, labels, count_empty_as_error=False) == 1.0
+        assert point_accuracy(picks, labels, count_empty_as_error=True) == pytest.approx(2 / 3)
+        assert point_accuracy(picks, labels, count_empty_as_error=False) == 1.0
+        with pytest.raises(ValueError, match="no predictions left"):
+            point_accuracy([-1, -1], [0, 1], count_empty_as_error=False)
 
-    def test_point_accuracy_rejects_multilabel(self):
+    @pytest.mark.parametrize("picks", [make_sets([0, 1]), [0.0], [-2]], ids=["inclusion", "float", "below_-1"])
+    def test_point_accuracy_rejects_picks_that_are_not_labels(self, picks):
         with pytest.raises(ValueError):
-            point_accuracy([make_set([0, 1])], [0])
+            point_accuracy(picks, [0])
+
+    def test_leading_axes_equal_one_call_per_index(self):
+        rng = np.random.default_rng(12)
+        include = rng.uniform(size=(4, 30, 5)) < 0.4
+        labels = rng.integers(0, 5, size=30)
+        picks = rng.integers(-1, 5, size=(4, 30))
+        got = (
+            empirical_coverage(include, labels),
+            average_set_size(include),
+            point_accuracy(picks, labels),
+            point_accuracy(picks, labels, count_empty_as_error=False),
+        )
+        for g in got:
+            assert g.shape == (4,)
+        for i in range(4):
+            assert got[0][i] == empirical_coverage(include[i], labels)
+            assert got[1][i] == average_set_size(include[i])
+            assert got[2][i] == point_accuracy(picks[i], labels)
+            assert got[3][i] == point_accuracy(picks[i], labels, count_empty_as_error=False)
 
     def test_auc_examples(self):
         assert ood_auc([0.1, 0.2], [0.3, 0.4]) == 1.0
@@ -238,6 +260,14 @@ class TestRunExperiment:
         assert discount.label_coverage.shape == (3,)
         assert discount.label_upper_slack.shape == (3,)
         assert np.all(discount.label_upper_slack > 0)
+
+    def test_one_repetition_conditional_has_zero_label_se(self):
+        # tier-1 turns a RuntimeWarning into an error: the one-value SE must not warn
+        cfg = ExperimentConfig(dataset="synthetic", repetitions=1, seed=1, conditional=True)
+        for m in run_experiment(cfg).methods[1:]:
+            assert m.coverage_se == 0.0
+            np.testing.assert_array_equal(m.label_coverage_se, np.zeros(3))
+            assert np.all(np.isfinite(m.label_coverage))
 
     def test_size_nonincreasing_in_alpha(self):
         sizes = []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conformal_hdc.hypervectors import (
     INVERSE_EUCLIDEAN_CAP,
     BipolarHypervector,
-    ComplexAccumulator,
     ComplexHypervector,
     RealAccumulator,
     bind,
@@ -263,9 +262,20 @@ class TestSimilarity:
     def test_accumulator_complex_cosine_floored_at_zero(self):
         # Anti-aligned unnormalized accumulators would go negative without
         # the floor; scores downstream need nonnegative evidence.
-        a = ComplexAccumulator(np.full(4, 3.0 + 0j))
-        b = ComplexAccumulator(np.full(4, -3.0 + 0j))
+        a = np.full(4, 3.0 + 0j)
+        b = np.full(4, -3.0 + 0j)
         assert similarity(a, b, "complex_cosine") == 0.0
+
+    def test_plain_arrays_equal_hypervector_values(self):
+        a, b = random_bipolar(64, seed=13), random_bipolar(64, seed=14)
+        for kind in ("cosine_normalized", "inverse_euclidean", "hamming_similarity"):
+            assert similarity(a.elements, b.elements, kind) == similarity(a, b, kind)
+        ca, cb = random_phase(64, seed=13), random_phase(64, seed=14)
+        assert similarity(ca.as_complex(), cb, "complex_cosine") == similarity(ca, cb, "complex_cosine")
+
+    def test_batch_rejected(self):
+        with pytest.raises(ValueError, match="single hypervectors"):
+            similarity(np.ones((2, 4)), np.ones(4), "cosine_normalized")
 
 
 class TestSimilarityMatrix:
@@ -301,9 +311,7 @@ class TestSimilarityMatrix:
         mat = similarity_matrix(Q, P, "complex_cosine")
         for i in range(3):
             for j in range(2):
-                want = similarity(
-                    ComplexAccumulator(Q[i]), ComplexAccumulator(P[j]), "complex_cosine"
-                )
+                want = similarity(Q[i], P[j], "complex_cosine")
                 assert mat[i, j] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -320,6 +328,23 @@ class TestSimilarityMatrix:
         arrays[side][1, 4] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             similarity_matrix(arrays["queries"], arrays["prototypes"], kind)
+
+
+    @pytest.mark.parametrize("kind", ["cosine_normalized", "inverse_euclidean", "hamming_similarity"])
+    @pytest.mark.parametrize("side", ["queries", "prototypes"])
+    def test_complex_input_rejected_by_real_kinds(self, kind, side):
+        arrays = {"queries": np.ones((3, 6)), "prototypes": np.ones((2, 6))}
+        arrays[side] = arrays[side] * (1.0 + 0.5j)
+        with pytest.raises(TypeError, match="real codes"):
+            similarity_matrix(arrays["queries"], arrays["prototypes"], kind)
+
+    @pytest.mark.parametrize("side", ["queries", "prototypes", "both"])
+    def test_real_input_rejected_by_complex_cosine(self, side):
+        arrays = {"queries": np.ones((3, 6), dtype=complex), "prototypes": np.ones((2, 6), dtype=complex)}
+        for key in arrays if side == "both" else [side]:
+            arrays[key] = arrays[key].real.astype(np.int8)
+        with pytest.raises(TypeError, match="complex codes only"):
+            similarity_matrix(arrays["queries"], arrays["prototypes"], "complex_cosine")
 
 
 class TestTypeInvariants:

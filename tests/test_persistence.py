@@ -1,5 +1,7 @@
 """Model and calibrator round-trips must reload bit-identically."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,6 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError):
             load_model(path)
 
-
     @pytest.mark.parametrize("cut", ["columns", "rows"])
     def test_prototype_shape_checked_on_load(self, tmp_path, cut):
         X = np.random.default_rng(3).normal(size=(6, 3))
@@ -97,6 +98,21 @@ class TestModelRoundTrip:
         arrays["prototypes"] = arrays["prototypes"][:, :2] if cut == "columns" else arrays["prototypes"][:2]
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="prototypes must be"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["complex_cosine", "dot"])
+    def test_similarity_kind_checked_on_load(self, tmp_path, kind):
+        X = np.random.default_rng(4).normal(size=(6, 3))
+        model = train_prototypes(X, [0, 1, 2] * 2, IdentityEncoder(p=3), "centroid", "inverse_euclidean")
+        path = tmp_path / "m.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays["meta"]))
+        meta["similarity_kind"] = kind
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="similarity kind"):
             load_model(path)
 
 

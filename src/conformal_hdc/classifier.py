@@ -42,6 +42,22 @@ _STYLE_REPRESENTATIONS = {
     "raw_complex": ("complex",),
 }
 
+_REAL_KINDS = tuple(k for k in SIMILARITY_KINDS if k != "complex_cosine")
+
+#: Similarity kinds that each encoder representation's codes take.
+_REPRESENTATION_KINDS = {"bipolar": _REAL_KINDS, "real": _REAL_KINDS, "complex": ("complex_cosine",)}
+
+
+def _check_similarity_kind(kind: str, representation: str) -> None:
+    if kind not in SIMILARITY_KINDS:
+        raise ValueError(f"unknown similarity kind {kind!r}; expected one of {SIMILARITY_KINDS}")
+    if kind not in _REPRESENTATION_KINDS[representation]:
+        raise ValueError(
+            f"similarity kind {kind!r} does not fit {representation} codes: "
+            "complex codes take 'complex_cosine', and only they do"
+        )
+
+
 #: Bytes of codes in one chunk of rows, at 16 per element (a complex128 code,
 #: or an int8 one with its float temporaries).
 _CHUNK_BYTES = 8 * 2**20
@@ -82,16 +98,7 @@ class TrainedModel:
     labels: np.ndarray  # original label value for each dense class index
 
     def __post_init__(self) -> None:
-        if self.similarity_kind not in SIMILARITY_KINDS:
-            raise ValueError(
-                f"unknown similarity kind {self.similarity_kind!r}; expected one of {SIMILARITY_KINDS}"
-            )
-        if np.iscomplexobj(self.prototypes) != (self.similarity_kind == "complex_cosine"):
-            raise ValueError(
-                f"similarity kind {self.similarity_kind!r} does not fit "
-                f"{'complex' if np.iscomplexobj(self.prototypes) else 'real'} codes: "
-                "complex codes take 'complex_cosine', and only they do"
-            )
+        _check_similarity_kind(self.similarity_kind, self.encoder.representation)
         shape = self.prototypes.shape
         if len(shape) != 2 or shape[1] != self.encoder.d or shape[0] != len(self.labels):
             raise ValueError(
@@ -230,6 +237,7 @@ def train_prototypes(
         raise ValueError(
             f"style {style!r} does not accept {representation!r} encoder outputs"
         )
+    _check_similarity_kind(similarity_kind, representation)
 
     labels = np.asarray(labels)
     if labels.size == 0:

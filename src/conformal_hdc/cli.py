@@ -79,17 +79,14 @@ def _parse_int(key: str, value: str) -> int:
         raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
-#: config-file names of ExperimentConfig fields, besides the field names themselves
-_ALIASES = {"lambda": "lam", "reps": "repetitions", "scores": "score_kinds"}
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_ALIASES = {"lambda": "lam", "reps": "repetitions", "scores": "score_kinds"}
+#: the config-file key of each ExperimentConfig field: its alias, or else its name
+_KEY_FIELDS = {**{f: f for f in _FIELD_TYPES if f not in _ALIASES.values()}, **_ALIASES}
 #: dataset files whose bytes a ``<key>_sha256`` digest can pin
 _CHECKED_PATHS = ("mnist_images", "mnist_labels", "isolet_path")
 _OTHER_KEYS = {"out", "languages_dir", *_CHECKED_PATHS, *(f"{k}_sha256" for k in _CHECKED_PATHS)}
 _SCALAR_PARSERS = {str: lambda key, value: value, bool: _parse_bool, int: _parse_int, float: _parse_float}
-
-
-def _field_name(key: str) -> str:
-    return _ALIASES.get(key, key)
 
 
 def _parse_field(key: str, hint, value: str):
@@ -114,23 +111,19 @@ def _parse_field(key: str, hint, value: str):
 def build_config(options: dict) -> ExperimentConfig:
     """Turn string options into a validated experiment configuration.
 
-    Each key names an ``ExperimentConfig`` field, or one through an alias
-    (``lambda``, ``reps``, ``scores``), and is read by the field's type;
-    the output directory and dataset-path keys pass through. Any other key
-    is an error, so a misspelled key cannot fall back to its default.
+    Each key names an ``ExperimentConfig`` field, three of them through an
+    alias (``lambda``, ``reps``, ``scores`` set ``lam``, ``repetitions``,
+    ``score_kinds``), and is read by the field's type; the output
+    directory and dataset-path keys pass through. Any other key is an
+    error, so a misspelled key cannot fall back to its default.
     """
     kwargs: dict = {}
-    given: dict = {}
     for key, value in options.items():
-        name = _field_name(key)
-        if name not in _FIELD_TYPES:
-            if key in _OTHER_KEYS:
-                continue
+        if key in _KEY_FIELDS:
+            name = _KEY_FIELDS[key]
+            kwargs[name] = _parse_field(key, _FIELD_TYPES[name], value)
+        elif key not in _OTHER_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        if name in given:
-            raise ValueError(f"config keys {given[name]!r} and {key!r} both set {name}")
-        given[name] = key
-        kwargs[name] = _parse_field(key, _FIELD_TYPES[name], value)
 
     config = ExperimentConfig(**kwargs)
     config.validate()
@@ -276,9 +269,6 @@ def main(argv=None) -> int:
                  "d": args.d, "seed": args.seed, "reps": args.reps}
         for key, value in flags.items():
             if value is not None:
-                # a flag replaces the file's key for its field, under either name
-                for given in [k for k in options if _field_name(k) == _field_name(key)]:
-                    del options[given]
                 options[key] = str(value)
         out_dir = args.out or options.get("out", "results")
 

@@ -68,9 +68,9 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _check_profiles(profiles: np.ndarray) -> np.ndarray:
     profiles = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
-    if not np.all(np.isfinite(profiles)):
+    if not np.isfinite(profiles).all():
         raise ValueError("similarity profiles contain NaN or infinite values")
-    if np.any(profiles < 0.0):
+    if (profiles < 0.0).any():
         raise ValueError("similarity profiles must be nonnegative")
     return profiles
 
@@ -117,7 +117,7 @@ def _inverse_quantile_matrix(
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     if u.shape[0] != profiles.shape[0]:
         raise ValueError("need exactly one uniform draw per profile row")
-    if np.any((u < 0.0) | (u > 1.0)):
+    if ((u < 0.0) | (u > 1.0)).any():
         raise ValueError("uniform draws must lie in [0, 1]")
 
     pi = softmax(profiles / temperature, axis=1)
@@ -207,7 +207,7 @@ def _select_kth_smallest(scores: np.ndarray, k: int) -> float:
 def _finite_scores(cal_scores) -> np.ndarray:
     # a NaN would sort past every score and shift the order statistic
     scores = np.asarray(cal_scores, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValueError("calibration scores contain NaN or infinite values")
     return scores
 

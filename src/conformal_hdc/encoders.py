@@ -94,7 +94,7 @@ def _spawn_seeds(seed, n: int):
 
 
 def _require_finite(X: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError(f"{what} contains NaN or infinite values")
     return X
 

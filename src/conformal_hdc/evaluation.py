@@ -170,7 +170,7 @@ def point_accuracy(picks, labels, count_empty_as_error: bool = True):
         raise ValueError("predictions and labels must have equal length")
     graded = np.ones(picks.shape, dtype=bool) if count_empty_as_error else picks >= 0
     considered = graded.sum(axis=-1)
-    if np.any(considered == 0):
+    if (considered == 0).any():
         raise ValueError("no predictions left to grade")
     return _leading((picks == labels).sum(axis=-1) / considered)
 
@@ -191,7 +191,7 @@ def ood_auc(inlier_scores, ood_scores_):
     n_in, n_ood = inl.shape[-1], ood.shape[-1]
     if n_in == 0 or n_ood == 0:
         raise ValueError("both score lists must be nonempty")
-    if not (np.all(np.isfinite(inl)) and np.all(np.isfinite(ood))):
+    if not (np.isfinite(inl).all() and np.isfinite(ood).all()):
         raise ValueError("OOD AUC scores contain NaN or infinite values")
     combined = np.concatenate([inl, ood], axis=-1)
     order = np.argsort(combined, axis=-1)

@@ -213,7 +213,10 @@ def similarity(h1, h2, kind: str) -> float:
 
     A one-pair call to :func:`similarity_matrix`. Each argument is a
     hypervector value or a plain 1-d array: bipolar, real and complex
-    values as the kinds there take them.
+    values as the kinds there take them. It shares that function's
+    precision: ``inverse_euclidean`` there expands the squared distance,
+    so it loses digits when the points lie much farther from the origin
+    than from each other (2% off for points near 1e8, 5 apart).
     """
     a, b = _values(h1), _values(h2)
     if a.ndim != 1 or b.ndim != 1:
@@ -222,7 +225,7 @@ def similarity(h1, h2, kind: str) -> float:
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("similarity inputs contain NaN or infinite values")
 
 
@@ -278,7 +281,8 @@ def similarity_matrix(queries: np.ndarray, prototypes: np.ndarray, kind: str) ->
         cos = np.where(denom > 0.0, dots / np.where(denom > 0.0, denom, 1.0), 0.0)
         return (np.clip(cos, -1.0, 1.0) + 1.0) / 2.0
 
-    # inverse_euclidean: expand ||q - p||^2 = ||q||^2 - 2 q.p + ||p||^2
+    # inverse_euclidean: expand ||q - p||^2 = ||q||^2 - 2 q.p + ||p||^2; its
+    # rounding error grows with ||q||^2 and ||p||^2, not with the distance
     sq = qq[:, None] - 2.0 * (qf @ pf.T) + pp[None, :]
     dist = np.sqrt(np.maximum(sq, 0.0))
     return np.minimum(1.0 / (dist + EPS), INVERSE_EUCLIDEAN_CAP)

@@ -248,6 +248,9 @@ class TestModelSurface:
         for kind in ("cosine_normalized", "inverse_euclidean", "hamming_similarity"):
             with pytest.raises(ValueError, match="does not fit complex codes"):
                 train_prototypes(X, [0, 1, 2] * 2, enc, "raw_complex", kind)
+            # rejected before encoding: rows the encoder would refuse are never read
+            with pytest.raises(ValueError, match="does not fit complex codes"):
+                train_prototypes(X[:, :2], [0, 1, 2] * 2, enc, "raw_complex", kind)
         assert train_prototypes(X, [0, 1, 2] * 2, enc, "raw_complex", "complex_cosine").n_classes == 3
 
     @pytest.mark.parametrize("style", ["centroid", "l2_normalized_real"])

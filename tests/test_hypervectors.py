@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conformal_hdc.hypervectors import (
+    EPS,
     INVERSE_EUCLIDEAN_CAP,
     BipolarHypervector,
     ComplexHypervector,
@@ -200,6 +201,12 @@ class TestSimilarity:
         got = similarity(RealAccumulator([0.0, 0.0]), RealAccumulator([3.0, 4.0]), "inverse_euclidean")
         assert got == pytest.approx(0.2, abs=1e-10)
 
+    def test_inverse_euclidean_hand_norm_off_origin(self):
+        # the squared distance is expanded: 1e6 from the origin it still
+        # holds to 1e-9 (near 1e8 it is 2% off)
+        got = similarity(RealAccumulator([1e6, 0.0]), RealAccumulator([1e6 + 3.0, 4.0]), "inverse_euclidean")
+        assert got == pytest.approx(0.2, rel=1e-9)
+
     def test_inverse_euclidean_cap(self):
         h = RealAccumulator([1.0, 2.0])
         assert similarity(h, h, "inverse_euclidean") == INVERSE_EUCLIDEAN_CAP
@@ -282,16 +289,20 @@ class TestSimilarityMatrix:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_matches_scalar_similarity(self, seed):
+        # reference: each kind's formula on one pair of rows
         rng = np.random.default_rng(seed)
         Q = rng.integers(0, 2, size=(3, 12), dtype=np.int8) * 2 - 1
         P = rng.integers(0, 2, size=(2, 12), dtype=np.int8) * 2 - 1
-        for kind in ("cosine_normalized", "inverse_euclidean", "hamming_similarity"):
+        formulas = {
+            "cosine_normalized": lambda q, p: (np.clip(q @ p / np.sqrt((q @ q) * (p @ p)), -1, 1) + 1) / 2,
+            "inverse_euclidean": lambda q, p: min(1 / (np.linalg.norm(q - p) + EPS), INVERSE_EUCLIDEAN_CAP),
+            "hamming_similarity": lambda q, p: 1 - np.count_nonzero(q != p) / q.shape[0],
+        }
+        for kind, formula in formulas.items():
             mat = similarity_matrix(Q, P, kind)
             for i in range(3):
                 for j in range(2):
-                    want = similarity(
-                        BipolarHypervector(Q[i]), BipolarHypervector(P[j]), kind
-                    )
+                    want = formula(Q[i].astype(np.float64), P[j].astype(np.float64))
                     assert mat[i, j] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n, k, d", [(1, 1, 5), (17, 5, 33), (40, 10, 64)])
@@ -305,13 +316,14 @@ class TestSimilarityMatrix:
             assert similarity_matrix(q, p, "hamming_similarity").tobytes() == want.tobytes()
 
     def test_matches_scalar_complex(self):
+        # reference: (Re[q^T conj(p)]/d + 1)/2 floored at 0, on one pair of rows
         rng = np.random.default_rng(7)
         Q = np.exp(1j * rng.uniform(0, TWO_PI, size=(3, 9)))
         P = np.exp(1j * rng.uniform(0, TWO_PI, size=(2, 9)))
         mat = similarity_matrix(Q, P, "complex_cosine")
         for i in range(3):
             for j in range(2):
-                want = similarity(Q[i], P[j], "complex_cosine")
+                want = max((np.real(Q[i] @ np.conj(P[j])) / 9 + 1) / 2, 0)
                 assert mat[i, j] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -328,7 +340,6 @@ class TestSimilarityMatrix:
         arrays[side][1, 4] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             similarity_matrix(arrays["queries"], arrays["prototypes"], kind)
-
 
     @pytest.mark.parametrize("kind", ["cosine_normalized", "inverse_euclidean", "hamming_similarity"])
     @pytest.mark.parametrize("side", ["queries", "prototypes"])

@@ -17,12 +17,12 @@ query concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .hypervectors import SIMILARITY_KINDS, similarity_matrix
+from .hypervectors import SIMILARITY_KINDS, _sums_of_squares, similarity_matrix
 
 __all__ = [
     "PROTOTYPE_STYLES",
@@ -96,6 +96,8 @@ class TrainedModel:
     similarity_kind: str
     style: str
     labels: np.ndarray  # original label value for each dense class index
+    # real prototypes' per-row sums of squares, computed once for similarity_matrix
+    _prototype_sq_norms: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_similarity_kind(self.similarity_kind, self.encoder.representation)
@@ -107,6 +109,11 @@ class TrainedModel:
             )
         self.prototypes.setflags(write=False)
         self.labels.setflags(write=False)
+        norms = None
+        if not np.iscomplexobj(self.prototypes):
+            norms = _sums_of_squares(self.prototypes)
+            norms.setflags(write=False)
+        object.__setattr__(self, "_prototype_sq_norms", norms)
 
     @property
     def n_classes(self) -> int:
@@ -123,7 +130,9 @@ class TrainedModel:
         out = np.empty((len(X), self.n_classes))
         for lo in range(0, max(len(X), 1), rows):  # an empty batch still goes to encode_batch
             codes = self.encoder.encode_batch(X[lo : lo + rows])
-            out[lo : lo + rows] = similarity_matrix(codes, self.prototypes, self.similarity_kind)
+            out[lo : lo + rows] = similarity_matrix(
+                codes, self.prototypes, self.similarity_kind, prototype_sq_norms=self._prototype_sq_norms
+            )
         return out
 
     def similarity_profile(self, x) -> np.ndarray:

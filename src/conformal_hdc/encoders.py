@@ -48,6 +48,10 @@ MAX_TEXT_LENGTH = 128
 #: Most trigrams whose set bits a uint8 count can hold.
 _UINT8_CHUNK = 255
 
+#: The all-zero row of each rotation in ``_pack_rotations``, and each rotation's first row.
+_ZERO_ROW = len(TEXT_VOCABULARY)
+_ROTATION_ROWS = (_ZERO_ROW + 1) * np.arange(3)[:, None]
+
 #: Vocabulary index of each ASCII code point, -1 outside the vocabulary.
 _VOCABULARY_TABLE = np.full(128, -1, dtype=np.intp)
 _VOCABULARY_TABLE[[ord(c) for c in TEXT_VOCABULARY]] = np.arange(len(TEXT_VOCABULARY))
@@ -255,10 +259,56 @@ def _vocabulary_indices(text: str) -> np.ndarray:
 
 
 def _pack_rotations(vectors: np.ndarray) -> np.ndarray:
-    """Packed bits of rho^k(S) < 0 for k = 0, 1, 2: a read-only (3, 27, ceil(d / 8)) uint8 array."""
-    packed = np.packbits(np.stack([np.roll(vectors, k, axis=1) for k in range(3)]) < 0, axis=-1)
+    """Packed bits of rho^k(S) < 0 for k = 0, 1, 2: a read-only (3 * 28, ceil(d / 64)) uint64 array.
+
+    Row 28 k + s holds rotation k of symbol s in 64-bit words; row 28 k + 27
+    is all zero, the rows a padding trigram gathers (``_ZERO_ROW``). Bits past
+    d are zero.
+    """
+    symbols, d = vectors.shape
+    words = -(-d // 64)
+    packed = np.zeros((3, symbols + 1, 8 * words), dtype=np.uint8)
+    rotated = np.stack([np.roll(vectors, k, axis=1) for k in range(3)])
+    packed[:, :symbols, : -(-d // 8)] = np.packbits(rotated < 0, axis=-1)
+    packed = packed.view(np.uint64).reshape(-1, words)
     packed.setflags(write=False)
     return packed
+
+
+def _carry_save(rows: np.ndarray, sums: np.ndarray, carries: np.ndarray) -> None:
+    """Bitwise 3:2 adder: a + b + c = sums + 2 carries, bit by bit, for ``rows`` = [a; b; c].
+
+    ``rows`` is overwritten; ``sums`` and ``carries`` take a third of its rows each.
+    """
+    m = rows.shape[0] // 3
+    a, b, c = rows[:m], rows[m : 2 * m], rows[2 * m :]
+    np.bitwise_xor(a, b, out=sums)
+    np.bitwise_and(a, b, out=carries)
+    np.bitwise_and(sums, c, out=a)
+    carries |= a  # carry = (a & b) | ((a ^ b) & c)
+    sums ^= c
+
+
+def _chunk_counts(bits: np.ndarray, d: int) -> np.ndarray:
+    """uint8 count of set bits per position over the 9 k <= 261 rows of ``bits``.
+
+    At most 255 of the rows are nonzero; the rest pad. ``bits`` is overwritten.
+    Two levels of carry-save adders leave k rows of weight 1, 2 k of weight 2
+    and k of weight 4 (4/9 of the rows); only these are unpacked. Their bytes
+    are summed as uint64 words, 8 positions at once: no byte of a group sum
+    exceeds 2 k <= 58, and no byte of the weighted total exceeds the 255
+    trigrams counted, so no carry crosses into the next position.
+    """
+    k = bits.shape[0] // 9
+    level = np.empty((6 * k, bits.shape[1]), dtype=np.uint64)
+    _carry_save(bits, level[: 3 * k], level[3 * k :])
+    groups = np.empty((4 * k, bits.shape[1]), dtype=np.uint64)
+    _carry_save(level[: 3 * k], groups[:k], groups[k : 2 * k])
+    _carry_save(level[3 * k :], groups[2 * k : 3 * k], groups[3 * k :])
+    lanes = np.unpackbits(groups.view(np.uint8), axis=1).view(np.uint64)
+    twos_and_fours = lanes[k : 3 * k].sum(axis=0) + 2 * lanes[3 * k :].sum(axis=0)
+    total = lanes[:k].sum(axis=0) + 2 * twos_and_fours
+    return total.view(np.uint8)[:d]
 
 
 def _trigram_code(text: str, rotations: np.ndarray, d: int) -> np.ndarray:
@@ -267,18 +317,27 @@ def _trigram_code(text: str, rotations: np.ndarray, d: int) -> np.ndarray:
     A set bit stands for -1, so binding is XOR, and n trigrams of which c set
     a bit sum to n - 2c there: the code is +1 where 2c <= n (ties and the
     empty bundle give +1). The text is not truncated; bits are counted
-    exactly, in uint8 over chunks of at most 255 trigrams, then in int32.
+    exactly, by ``_chunk_counts`` over chunks of at most 255 trigrams padded
+    with zero rows to a multiple of 9; a second chunk's counts add up in int32.
     """
     idx = _vocabulary_indices(text)
-    bits = rotations[0, idx[:-2]]
-    bits ^= rotations[1, idx[1:-1]]
-    bits ^= rotations[2, idx[2:]]
-    counts = np.zeros(d, dtype=np.int32)
-    for start in range(0, bits.shape[0], _UINT8_CHUNK):
-        chunk = np.unpackbits(bits[start : start + _UINT8_CHUNK], axis=1, count=d)
-        counts += chunk.sum(axis=0, dtype=np.uint8)
+    n = max(idx.shape[0] - 2, 0)
+    counts = np.zeros(d, dtype=np.uint8)
+    for start in range(0, n, _UINT8_CHUNK):
+        size = min(_UINT8_CHUNK, n - start)
+        rows = np.full((3, -(-size // 9) * 9), _ZERO_ROW)
+        for rotation in range(3):
+            rows[rotation, :size] = idx[start + rotation : start + rotation + size]
+        rows += _ROTATION_ROWS
+        gathered = rotations.take(rows, axis=0)
+        bits = gathered[0]
+        bits ^= gathered[1]
+        bits ^= gathered[2]
+        chunk = _chunk_counts(bits, d)
+        counts = chunk if start == 0 else chunk + counts.astype(np.int32)
+    # 2c > n is c > n // 2 for integers, which needs no doubled uint8 counts;
     # 1 - 2 * (bool mask viewed as int8) takes a third of np.where's time
-    return 1 - 2 * (2 * counts > bits.shape[0]).view(np.int8)
+    return 1 - 2 * (counts > n // 2).view(np.int8)
 
 
 def _split_steps(u: np.ndarray, k: np.ndarray, index: np.ndarray) -> None:

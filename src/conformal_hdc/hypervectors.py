@@ -229,7 +229,15 @@ def _require_finite(*arrays: np.ndarray) -> None:
         raise ValueError("similarity inputs contain NaN or infinite values")
 
 
-def similarity_matrix(queries: np.ndarray, prototypes: np.ndarray, kind: str) -> np.ndarray:
+def _sums_of_squares(rows: np.ndarray) -> np.ndarray:
+    """Per-row sums of squares of a real (n, d) array, in float64."""
+    rows = rows.astype(np.float64, copy=False)
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def similarity_matrix(
+    queries: np.ndarray, prototypes: np.ndarray, kind: str, *, prototype_sq_norms=None
+) -> np.ndarray:
     """Similarity of every query row against every prototype row.
 
     Takes (n, d) queries and (K, d) prototypes (a 1-d array is one row) and
@@ -242,6 +250,14 @@ def similarity_matrix(queries: np.ndarray, prototypes: np.ndarray, kind: str) ->
     pairing raises TypeError. NaN or infinite inputs raise ValueError
     rather than give a finite profile; the check reads the per-row sums of
     squares or the (n, K) complex cosines.
+
+    ``prototype_sq_norms``, keyword-only, is the (K,) float64 per-row sums of
+    squares of the prototypes, as ``np.einsum("ij,ij->i", p, p)`` gives them
+    for ``p`` the prototypes cast to float64. A caller that scores many
+    batches against the same prototypes passes them to skip that pass; the
+    result is the same bit for bit. ``cosine_normalized`` and
+    ``inverse_euclidean`` read them; the other kinds ignore them. None, the
+    default, computes them here.
     """
     if kind not in SIMILARITY_KINDS:
         raise ValueError(f"unknown similarity kind {kind!r}; expected one of {SIMILARITY_KINDS}")
@@ -272,8 +288,13 @@ def similarity_matrix(queries: np.ndarray, prototypes: np.ndarray, kind: str) ->
 
     qf = q.astype(np.float64, copy=False)
     pf = p.astype(np.float64, copy=False)
-    qq = np.einsum("ij,ij->i", qf, qf)
-    pp = np.einsum("ij,ij->i", pf, pf)
+    qq = _sums_of_squares(qf)
+    if prototype_sq_norms is None:
+        pp = _sums_of_squares(pf)
+    else:
+        pp = np.asarray(prototype_sq_norms, dtype=np.float64)
+        if pp.shape != (p.shape[0],):
+            raise ValueError(f"prototype_sq_norms must have shape ({p.shape[0]},), got {pp.shape}")
     _require_finite(qq, pp)
     if kind == "cosine_normalized":
         denom = np.sqrt(np.outer(qq, pp))

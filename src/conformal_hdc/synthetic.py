@@ -31,15 +31,6 @@ class SyntheticConfig:
     def separation(self) -> float:
         return 4.0 * np.sqrt(self.p)
 
-    def with_sigma3(self, sigma3: float) -> "SyntheticConfig":
-        return SyntheticConfig(
-            p=self.p,
-            sigma=(self.sigma[0], self.sigma[1], sigma3),
-            n_per_class=self.n_per_class,
-            n_ood=self.n_ood,
-            seed=self.seed,
-        )
-
 
 def class_centers(cfg: SyntheticConfig) -> np.ndarray:
     """Equilateral-triangle centers embedded in the first two coordinates."""

@@ -13,8 +13,15 @@ from conformal_hdc.classifier import (
     prototypes_from_encoded,
     train_prototypes,
 )
-from conformal_hdc.encoders import BinaryImageEncoder, IdentityEncoder, TemporalFpeEncoder, TrigramTextEncoder
+from conformal_hdc.encoders import (
+    BinaryImageEncoder,
+    IdentityEncoder,
+    QuantizedFeatureEncoder,
+    TemporalFpeEncoder,
+    TrigramTextEncoder,
+)
 from conformal_hdc.hypervectors import similarity_matrix
+from conformal_hdc.persistence import load_model, save_model
 from conformal_hdc.synthetic import SyntheticConfig, class_centers
 
 
@@ -263,6 +270,52 @@ class TestModelSurface:
         model = identity_model(feats, [0, 1, 2, 0, 1, 2])
         with pytest.raises(ValueError):
             model.similarity_profile(feats)  # batch passed where sample expected
+
+
+def _pairing_data(representation):
+    """An encoder of the representation, 12 training rows over 3 classes and 5 queries."""
+    rng = np.random.default_rng(14)
+    if representation == "complex":
+        X = rng.poisson(2.0, size=(17, 3, 4)).astype(np.float64)
+        enc = TemporalFpeEncoder(p=3, d=40, t_max=4, seed=2)
+    elif representation == "bipolar":
+        X = rng.uniform(size=(17, 6))
+        enc = QuantizedFeatureEncoder(p=6, d=72, levels=5, seed=3).fit(X)
+    else:
+        X = rng.normal(size=(17, 6))
+        enc = IdentityEncoder(p=6)
+    return enc, X[:12], X[12:]
+
+
+_PAIRINGS = [
+    (representation, style, kind)
+    for representation, styles in [
+        ("bipolar", ["binarized", "l2_normalized_real", "centroid"]),
+        ("real", ["l2_normalized_real", "centroid"]),
+        ("complex", ["raw_complex"]),
+    ]
+    for style in styles
+    for kind in (["complex_cosine"] if representation == "complex" else
+                 ["cosine_normalized", "inverse_euclidean", "hamming_similarity"])
+]
+
+
+class TestCachedNorms:
+    """A model computes its prototypes' sums of squares once; profiles stay bit for bit the same."""
+
+    @pytest.mark.parametrize("representation,style,kind", _PAIRINGS)
+    def test_profiles_equal_similarity_matrix(self, tmp_path, representation, style, kind):
+        enc, X, Q = _pairing_data(representation)
+        model = train_prototypes(X, np.arange(12) % 3, enc, style, kind)
+        save_model(model, tmp_path / "m.npz")
+        for m in (model, load_model(tmp_path / "m.npz")):
+            for rows in (Q, Q[:1]):
+                want = similarity_matrix(m.encoder.encode_batch(rows), m.prototypes, kind)
+                assert m.similarity_profiles(rows).tobytes() == want.tobytes()
+            bad = Q[:1].copy()
+            bad.flat[0] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                m.similarity_profiles(bad)
 
 
 class TestStreaming:

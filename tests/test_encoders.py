@@ -382,6 +382,31 @@ class TestTrigramEncoding:
             np.testing.assert_array_equal(row, _trigram_sign_reference(text, enc.im.vectors))
             np.testing.assert_array_equal(row, enc.encode_batch([text])[0])
 
+    # the carry-save count works on chunks of at most 255 trigrams padded to a
+    # multiple of 9 rows: 257 and 258 characters give 255 and 256 trigrams,
+    # the last that fit one chunk and the first that need two
+    @example(d=9, length=257, oov=[], seed=6)
+    @example(d=65, length=258, oov=[(0, "Z"), (258, "!")], seed=7)
+    @example(d=2000, length=600, oov=[(300, "é")], seed=8)
+    @example(d=1, length=3, oov=[(1, "0")], seed=9)
+    @given(
+        d=st.sampled_from([1, 7, 9, 64, 65, 2000]),
+        length=st.one_of(st.integers(0, 3), st.sampled_from([257, 258]), st.integers(511, 800)),
+        oov=st.lists(st.tuples(st.integers(0, 800), st.sampled_from(list("Z0!é\x00中"))), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_carry_save_count_matches_plus_minus_one_sum(self, d, length, oov, seed):
+        rng = np.random.default_rng(seed)
+        chars = list(rng.choice(list(TEXT_VOCABULARY), size=length))
+        for pos, char in oov:  # outside the vocabulary: dropped, so the trigram count stays
+            chars.insert(min(pos, len(chars)), char)
+        text = "".join(chars)
+        enc = TrigramTextEncoder(d=d, seed=seed)
+        got = enc.encode_batch([text, text[:2]])
+        np.testing.assert_array_equal(got[0], _trigram_sign_reference(text, enc.im.vectors))
+        np.testing.assert_array_equal(got[1], np.ones(d, dtype=np.int8))
+
     def test_batch_rejects_bare_string(self):
         # iterating a string would encode each character as its own text
         enc = TrigramTextEncoder(d=32, seed=13)

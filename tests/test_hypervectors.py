@@ -326,6 +326,23 @@ class TestSimilarityMatrix:
                 want = max((np.real(Q[i] @ np.conj(P[j])) / 9 + 1) / 2, 0)
                 assert mat[i, j] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["cosine_normalized", "inverse_euclidean"])
+    def test_given_prototype_norms_change_nothing(self, kind):
+        rng = np.random.default_rng(9)
+        Q, P = rng.normal(size=(4, 7)), rng.normal(size=(3, 7))
+        norms = np.einsum("ij,ij->i", P, P)
+        want = similarity_matrix(Q, P, kind)
+        assert similarity_matrix(Q, P, kind, prototype_sq_norms=norms).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            similarity_matrix(Q, P, kind, prototype_sq_norms=norms[:2])
+        Q[2, 3] = np.nan  # the query's own sums of squares are still checked
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            similarity_matrix(Q, P, kind, prototype_sq_norms=norms)
+        Q[2, 3] = 0.0
+        norms[1] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            similarity_matrix(Q, P, kind, prototype_sq_norms=norms)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "kind", ["cosine_normalized", "inverse_euclidean", "hamming_similarity", "complex_cosine"]

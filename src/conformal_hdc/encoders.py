@@ -163,6 +163,12 @@ class QuantizationGrid:
         maxs = np.asarray(self.maxs, dtype=np.float64)
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise ValueError("grid mins/maxs must be 1-d arrays of equal length")
+        # NaN passes the order check below, and a NaN, infinite or overflowing
+        # bound maps every input to one level
+        _require_finite(mins, "grid mins")
+        _require_finite(maxs, "grid maxs")
+        with np.errstate(over="ignore"):
+            _require_finite(maxs - mins, "grid span (max - min)")
         if np.any(maxs < mins):
             raise ValueError("grid requires min <= max per feature")
         if self.levels < 1:
@@ -518,6 +524,62 @@ class BinaryImageEncoder:
         return {"type": "binary_image", "p": self.p, "d": self.d, "seed": self.seed}
 
 
+class _LevelPlan:
+    """The codebook-only part of the quantized encoding, derived once per table pair.
+
+    Telescoping L_q = L_0 + sum_{v=1..q} (L_v - L_{v-1}) turns
+    sum_j ID_j * L_{q_j} into the base sum_j ID_j * L_0 plus, per level v,
+    (q >= v) @ (ID * step_v) on the columns step_v = L_v - L_{v-1} flips.
+    Those flips, in level order, are the columns of ``block``: its first p
+    rows hold ID_j * step_v and its last row the base, on a column's first
+    flip only, so a product whose left factor ends in a column of ones adds
+    the base once. Level v's flips are ``block[:, bounds[v-1]:bounds[v]]``.
+    The columns no level flips keep the sign of the base, which no input
+    changes: ``constant_codes``.
+
+    LevelMemory flips each column at most once. A general level table may
+    flip one column at several levels; its flips then form layers of
+    distinct columns, and a batch adds each later layer into the first.
+    """
+
+    def __init__(self, ids: np.ndarray, lvls: np.ndarray) -> None:
+        self.ids = ids
+        self.lvls = lvls
+        p, d = ids.shape
+        steps = np.diff(lvls.astype(np.float32), axis=0)
+        flip_level, flip_col = np.nonzero(steps)
+        self.bounds = np.searchsorted(flip_level, np.arange(lvls.shape[0]))
+        # the rank of each flip among those of its column, in level order
+        by_col = np.argsort(flip_col, kind="stable")
+        index = np.arange(flip_col.size)
+        column_start = np.r_[True, np.diff(flip_col[by_col]) != 0]
+        rank = np.empty_like(index)
+        rank[by_col] = index - np.maximum.accumulate(np.where(column_start, index, 0))
+        first = np.flatnonzero(rank == 0)
+        self.flipped = flip_col[first]
+        base = ids.sum(axis=0, dtype=np.float32) * lvls[0]
+        block = np.empty((p + 1, flip_col.size), dtype=np.float32)
+        # cast, then scaled in place: a mixed int8 * float32 product is twice as slow
+        block[:p] = np.take(ids, flip_col, axis=1)
+        block[:p] *= steps[flip_level, flip_col]
+        block[p] = 0.0
+        block[p, first] = base[self.flipped]
+        block.setflags(write=False)
+        self.block = block
+        # a view of the accumulator, not a copy, when every flip is a first one
+        self.first = slice(None) if first.size == flip_col.size else first
+        position = np.empty(d, dtype=np.intp)
+        position[self.flipped] = np.arange(self.flipped.size)
+        self.later = [
+            (layer, position[flip_col[layer]])
+            for layer in (np.flatnonzero(rank == r) for r in range(1, rank.max(initial=0) + 1))
+        ]
+        constant = np.ones(d, dtype=bool)
+        constant[self.flipped] = False
+        self.constant = np.flatnonzero(constant)
+        self.constant_codes = np.where(base[self.constant] >= 0, 1, -1).astype(np.int8)
+
+
 class QuantizedFeatureEncoder:
     """Identification-value chain encoder for real-valued feature tables."""
 
@@ -533,6 +595,7 @@ class QuantizedFeatureEncoder:
         self.d = d
         self.levels = levels
         self.seed = seed
+        self._plan = _LevelPlan(self.im.vectors, self.lm.vectors)
 
     def fit(self, X) -> "QuantizedFeatureEncoder":
         self.grid = QuantizationGrid.fit(np.asarray(X, dtype=np.float64), self.levels)
@@ -543,7 +606,19 @@ class QuantizedFeatureEncoder:
             raise RuntimeError("encoder not fitted: call fit(train_features) first")
         if self.grid.mins.shape[0] != self.p:
             raise ValueError("grid was fitted for a different feature count")
+        if self.grid.levels != self.levels:
+            # levels past the level table would saturate without an error
+            raise ValueError(
+                f"grid has {self.grid.levels} levels, the encoder {self.levels}"
+            )
         return self.grid
+
+    def _level_plan(self) -> _LevelPlan:
+        """The plan of the current tables, derived again when either array is replaced."""
+        plan = self._plan
+        if plan.ids is not self.im.vectors or plan.lvls is not self.lm.vectors:
+            plan = self._plan = _LevelPlan(self.im.vectors, self.lm.vectors)
+        return plan
 
     def encode_batch(self, X) -> np.ndarray:
         grid = self._require_fitted()
@@ -551,24 +626,29 @@ class QuantizedFeatureEncoder:
         if X.shape[1] != self.p:
             raise ValueError(f"expected {self.p} features, got {X.shape[1]}")
         q = grid.quantize(X)
-        # Telescoping L_q = L_0 + sum_{v=1..q} (L_v - L_{v-1}) turns
-        # sum_j ID_j * L_{q_j} into (sum_j ID_j) * L_0 plus, per level v, one
-        # product (q >= v) @ ID restricted to the columns where L_v differs
-        # from L_{v-1}; those sets are disjoint slices for LevelMemory, so all
-        # levels together cost one (n, p) @ (p, <= d/2) product. Every partial
-        # sum is an integer of magnitude <= 2p, exact in float32, so the
-        # result equals the direct sum bit for bit. The accumulator is kept
-        # (d, n) so each level updates whole rows rather than scattered columns.
-        ids = self.im.vectors
-        lvls = self.lm.vectors.astype(np.float32)
-        acc = np.empty((self.d, X.shape[0]), dtype=np.float32)
-        acc[:] = (ids.sum(axis=0, dtype=np.float32) * lvls[0])[:, None]
-        for v, step in enumerate(np.diff(lvls, axis=0), start=1):
-            cols = np.flatnonzero(step)
-            reached = (q >= v).astype(np.float32)
-            acc[cols] += (ids[:, cols].T.astype(np.float32) @ reached.T) * step[cols, None]
-        del q, reached
-        return _bipolar_sign(acc.T)
+        plan = self._level_plan()
+        # Only quantize, multiply and sign here: the plan holds the codebook
+        # work. One product per level, [q >= v, 1] @ block[:, level v's
+        # flips], goes straight into that level's columns of an (n, flips)
+        # accumulator. Every partial sum is an integer, at most 3p in
+        # magnitude for LevelMemory, so float32 holds it exactly and the
+        # codes equal the direct sum's signs bit for bit.
+        n, p = q.shape
+        left = np.empty((n, p + 1), dtype=np.float32)
+        left[:, p] = 1.0
+        acc = np.empty((n, plan.block.shape[1]), dtype=np.float32)
+        for v, (lo, hi) in enumerate(zip(plan.bounds[:-1], plan.bounds[1:]), start=1):
+            if lo < hi:
+                np.greater_equal(q, v, out=left[:, :p], casting="unsafe")
+                np.matmul(left, plan.block[:, lo:hi], out=acc[:, lo:hi])
+        del q, left
+        sums = acc[:, plan.first]
+        for layer, position in plan.later:
+            sums[:, position] += acc[:, layer]
+        codes = np.empty((n, self.d), dtype=np.int8)
+        codes[:, plan.constant] = plan.constant_codes
+        codes[:, plan.flipped] = _bipolar_sign(sums)
+        return codes
 
     def state(self) -> dict:
         grid = self.grid

@@ -21,16 +21,20 @@ from conformal_hdc.encoders import (
     TemporalFpeEncoder,
     IdentityEncoder,
     TrigramTextEncoder,
+    _LevelPlan,
     _add_unit_phasors,
     _split_steps,
     preprocess_text,
 )
+from conformal_hdc.classifier import _chunk_rows, prototypes_from_encoded, train_prototypes
 from conformal_hdc.hypervectors import (
     INVERSE_EUCLIDEAN_CAP,
     BipolarHypervector,
     bind,
     similarity,
+    similarity_matrix,
 )
+from conformal_hdc.persistence import load_model, save_model
 
 
 class TestItemMemory:
@@ -112,6 +116,17 @@ class TestQuantizationGrid:
     def test_min_le_max_enforced(self):
         with pytest.raises(ValueError):
             QuantizationGrid(mins=np.array([1.0]), maxs=np.array([0.0]), levels=3)
+
+    # NaN passes the order check; before it raised, NaN or -inf mins sent every
+    # input to level 0, a NaN max sent 0.5 to level 2, and a span past the
+    # float64 range sent every input to level 0
+    @pytest.mark.parametrize(
+        "mins, maxs",
+        [(np.nan, 1.0), (-np.inf, 1.0), (0.0, np.nan), (0.0, np.inf), (np.nan, np.nan), (-1e308, 1e308)],
+    )
+    def test_non_finite_bounds_rejected(self, mins, maxs):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            QuantizationGrid(mins=np.array([0.0, mins]), maxs=np.array([1.0, maxs]), levels=5)
 
 
 class TestBinaryImageEncoding:
@@ -201,6 +216,15 @@ class TestQuantizedEncoding:
         with pytest.raises(ValueError, match="different feature count"):
             enc.encode_batch(np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("levels", [4, 6, 40])
+    def test_grid_of_another_level_count_rejected(self, levels):
+        # a grid with more levels than the level table would saturate its top levels
+        X = np.random.default_rng(1).uniform(size=(6, 4))
+        enc = QuantizedFeatureEncoder(p=4, d=32, levels=5, seed=0).fit(X)
+        enc.grid = QuantizationGrid(mins=enc.grid.mins, maxs=enc.grid.maxs, levels=levels)
+        with pytest.raises(ValueError, match=f"grid has {levels} levels, the encoder 5"):
+            enc.encode_batch(X)
+
     # the former fixed case, then levels=2, odd d, d < 2*(levels-1) (LevelMemory
     # flips nothing) and p = d = 1
     @example(p=6, d=64, levels=5, seed=8)
@@ -244,10 +268,12 @@ class TestQuantizedEncoding:
         np.testing.assert_array_equal(enc.encode_batch(X), _quantized_sign_reference(enc, X))
 
     def test_batch_peak_memory(self):
-        # Beyond its input the batch holds the (d, n) float32 accumulator, the
-        # n x d int8 codes and per-level n x p temporaries: the bound below.
-        # Chained float64 quantizer temporaries, an int64 level table and a
-        # transposed copy of the signs put it 3.3 MiB higher (12.5 MiB) here.
+        # Beyond its input the batch holds the quantizer's n x p float64
+        # temporary, then the n x (p + 1) float32 left factor, the (n, flips)
+        # float32 accumulator with its int8 signs and the n x d int8 codes;
+        # 4.7 MB here, under the bound below. Chained float64 quantizer
+        # temporaries, an int64 level table and a transposed copy of the
+        # signs once put it at 12.5 MiB.
         n, p, d = 660, 617, 2000
         X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(n, p))
         enc = QuantizedFeatureEncoder(p=p, d=d, levels=21, seed=1).fit(X[:377])
@@ -258,6 +284,53 @@ class TestQuantizedEncoding:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * n * d + 8 * n * p + 2**20
+
+    @pytest.mark.parametrize("d", [2000, 2001])
+    def test_level_plan_memory(self, d):
+        # one float32 block of (p + 1) x flips, flips <= d / 2 for LevelMemory,
+        # and O(d) indices: a float64 block or a per-level copy does not fit
+        p = 617
+        enc = QuantizedFeatureEncoder(p=p, d=d, levels=21, seed=1)
+        tracemalloc.start()
+        try:
+            plan = _LevelPlan(enc.im.vectors, enc.lm.vectors)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert plan.block.dtype == np.float32 and not plan.block.flags.writeable
+        assert plan.block.shape[0] == p + 1 and plan.block.shape[1] <= -(-d // 2)
+        assert held <= 4 * (p + 1) * -(-d // 2) + 16 * d + 2**12
+
+    def test_plan_follows_replaced_tables(self):
+        enc = QuantizedFeatureEncoder(p=5, d=48, levels=4, seed=2)
+        X = np.random.default_rng(2).normal(size=(12, 5))
+        enc.fit(X)
+        before = enc.encode_batch(X)
+        enc.im.vectors = -enc.im.vectors
+        np.testing.assert_array_equal(enc.encode_batch(X), _quantized_sign_reference(enc, X))
+        enc.lm.vectors = enc.lm.vectors[::-1].copy()
+        np.testing.assert_array_equal(enc.encode_batch(X), _quantized_sign_reference(enc, X))
+        assert not np.array_equal(before, enc.encode_batch(X))
+
+    def test_reloaded_model_across_chunks(self, tmp_path):
+        # d = 2**15 + 1 encodes 15 rows per chunk, so 37 rows cross two chunk
+        # boundaries; the reloaded encoder has a grid but never ran fit
+        p, d, n = 4, 2**15 + 1, 37
+        assert _chunk_rows(d) == 15
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(n, p))
+        y = np.arange(n) % 3
+        enc = QuantizedFeatureEncoder(p=p, d=d, levels=21, seed=12).fit(X[:20])
+        model = train_prototypes(X, y, enc, "binarized", "cosine_normalized")
+        save_model(model, tmp_path / "m.npz")
+        loaded = load_model(tmp_path / "m.npz")
+        ref = np.concatenate([_quantized_sign_reference(loaded.encoder, X[i : i + 5]) for i in range(0, n, 5)])
+        np.testing.assert_array_equal(loaded.encoder.encode_batch(X), ref)
+        np.testing.assert_array_equal(model.prototypes, prototypes_from_encoded(ref, y, 3, "binarized"))
+        np.testing.assert_array_equal(loaded.prototypes, model.prototypes)
+        profiles = loaded.similarity_profiles(X)
+        np.testing.assert_array_equal(profiles, model.similarity_profiles(X))
+        np.testing.assert_array_equal(profiles, similarity_matrix(ref, model.prototypes, "cosine_normalized"))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):

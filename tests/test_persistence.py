@@ -54,6 +54,19 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(loaded.encoder.grid.mins, enc.grid.mins)
         np.testing.assert_array_equal(model.similarity_profiles(X), loaded.similarity_profiles(X))
 
+    @pytest.mark.parametrize("key, bad", [("grid_mins", np.nan), ("grid_mins", -np.inf), ("grid_maxs", np.nan)])
+    def test_non_finite_grid_rejected(self, tmp_path, key, bad):
+        X = np.random.default_rng(4).uniform(size=(6, 3))
+        enc = QuantizedFeatureEncoder(p=3, d=32, levels=5, seed=1).fit(X)
+        save_model(train_prototypes(X, [0, 1] * 3, enc, "binarized", "cosine_normalized"), tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            arrays = dict(data)
+        arrays[key] = arrays[key].copy()
+        arrays[key][1] = bad
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            load_model(tmp_path / "bad.npz")
+
     def test_trigram_l2_normalized(self, tmp_path):
         texts = ["the quick brown fox", "jumps over", "lazy dogs sleep here"]
         model = train_prototypes(

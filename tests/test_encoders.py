@@ -1,7 +1,12 @@
 """Encoders: fixed-point examples, Monte-Carlo sanity, and determinism."""
 
 import math
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conformal_hdc import encoders
 from conformal_hdc.encoders import (
     _PHASOR_STEPS,
     TEXT_VOCABULARY,
@@ -741,6 +747,144 @@ class TestTemporalEncoding:
             extra.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
             tracemalloc.stop()
         assert abs(extra[1] - extra[0]) <= 64 * 1024
+
+
+class TestFpeWorkers:
+    """The FPE kernel's row blocks spread over workers; the codes never depend on how many."""
+
+    @staticmethod
+    def _encode(monkeypatch, enc, X, workers):
+        monkeypatch.setattr(encoders, "_WORKERS", workers)
+        return enc.encode_batch(X).view(np.int64)
+
+    # the spike workload's shape at d = 10000 (3-row blocks) and d = 2000
+    # (16-row blocks), t < t_max, and d = 2001 with its padded factor
+    @pytest.mark.parametrize("d, t", [(10_000, 8), (10_000, 5), (2_000, 8), (2_001, 3)])
+    def test_codes_identical_for_any_worker_count(self, monkeypatch, d, t):
+        enc = TemporalFpeEncoder(p=30, d=d, t_max=8, seed=40)
+        rows = max(2, 2**15 // d)
+        sizes = sorted({1, rows - 1, rows, 52, 53, 3 * rows + 1})
+        X = np.random.default_rng(d + t).poisson(2.0, size=(max(sizes), 30, t)).astype(np.float64)
+        for n in sizes:
+            want = self._encode(monkeypatch, enc, X[:n], 1)
+            for workers in (2, 3):
+                np.testing.assert_array_equal(self._encode(monkeypatch, enc, X[:n], workers), want)
+        assert encoders._helpers >= 2
+
+    def test_one_block_call_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(encoders, "_helpers", 0)
+        enc = TemporalFpeEncoder(p=3, d=2_000, t_max=2, seed=41)
+        X = np.random.default_rng(41).normal(size=(16, 3, 2))  # exactly one 16-row block
+        self._encode(monkeypatch, enc, X, 3)
+        assert encoders._helpers == 0
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_phase_limit_in_last_block_raises_then_encoder_recovers(self, monkeypatch, workers):
+        enc = TemporalFpeEncoder(p=4, d=2_000, t_max=3, seed=42)
+        X = np.random.default_rng(42).normal(size=(50, 4, 3))  # blocks of 16, 16, 16 and 2 rows
+        want = self._encode(monkeypatch, enc, X, 1)
+        bad = X.copy()
+        bad[49, :, 2] = 1e9
+        monkeypatch.setattr(encoders, "_WORKERS", workers)
+        with pytest.raises(ValueError, match="limit"):
+            enc.encode_batch(bad)
+        np.testing.assert_array_equal(enc.encode_batch(X).view(np.int64), want)
+
+    @staticmethod
+    def _count_phasor_calls(monkeypatch, fail_in_helper=False):
+        """Wrap the kernel's per-bin step: each call sleeps, then is counted once done."""
+        calls, caller = [], threading.get_ident()
+        add = encoders._add_unit_phasors
+
+        def counted(*args):
+            time.sleep(0.005)
+            if fail_in_helper and threading.get_ident() != caller:
+                raise RuntimeError("helper thread failed")
+            add(*args)
+            calls.append(1)
+
+        monkeypatch.setattr(encoders, "_add_unit_phasors", counted)
+        return calls
+
+    def test_error_stops_every_worker_before_the_call_raises(self, monkeypatch):
+        calls = self._count_phasor_calls(monkeypatch)
+        enc = TemporalFpeEncoder(p=4, d=2_000, t_max=2, seed=43)
+        X = np.random.default_rng(43).normal(size=(20 * 16, 4, 2))  # 20 blocks, 40 calls
+        X[0, :, 1] = 1e9  # the first block fails at its second bin
+        monkeypatch.setattr(encoders, "_WORKERS", 3)
+        with pytest.raises(ValueError, match="limit"):
+            enc.encode_batch(X)
+        done = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == done, "a worker was still running when the call raised"
+        assert done < 20, "the other workers kept taking blocks after the error"
+
+    def test_helper_thread_error_reaches_the_caller_unchanged(self, monkeypatch):
+        self._count_phasor_calls(monkeypatch, fail_in_helper=True)
+        enc = TemporalFpeEncoder(p=4, d=2_000, t_max=2, seed=44)
+        X = np.random.default_rng(44).normal(size=(10 * 16, 4, 2))
+        monkeypatch.setattr(encoders, "_WORKERS", 2)
+        with pytest.raises(RuntimeError, match="^helper thread failed$"):
+            enc.encode_batch(X)
+
+    def test_concurrent_callers_get_the_serial_codes(self, monkeypatch):
+        # encoding calls are pure and may run concurrently, on one encoder too
+        enc = TemporalFpeEncoder(p=30, d=10_000, t_max=8, seed=45)
+        rng = np.random.default_rng(45)
+        batches = [rng.poisson(2.0, size=(n, 30, 8)).astype(np.float64) for n in (20, 13)]
+        want = [self._encode(monkeypatch, enc, X, 1) for X in batches]
+        # more workers than this host may have cores, switching threads often
+        monkeypatch.setattr(encoders, "_WORKERS", 3)
+        start = threading.Barrier(2)
+        got = [[], []]
+
+        def encode(i):
+            start.wait()
+            for _ in range(3):
+                got[i].append(enc.encode_batch(batches[i]).view(np.int64))
+
+        threads = [threading.Thread(target=encode, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for codes, serial in zip(got, want):
+            assert len(codes) == 3
+            for c in codes:
+                np.testing.assert_array_equal(c, serial)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork start method")
+    def test_forked_child_encodes_without_the_parents_helpers(self, monkeypatch):
+        # a child inherits the helpers' task queue but not their threads; it
+        # starts its own, or it would encode on the calling thread alone and
+        # leave each call's arrays in a queue that nothing reads
+        monkeypatch.setattr(encoders, "_WORKERS", 2)
+        enc = TemporalFpeEncoder(p=4, d=2_000, t_max=3, seed=46)
+        X = np.random.default_rng(46).normal(size=(50, 4, 3))
+        want = enc.encode_batch(X)
+        assert encoders._helpers >= 1
+
+        def encode_in_child():
+            np.testing.assert_array_equal(enc.encode_batch(X).view(np.int64), want.view(np.int64))
+            assert "conformal-hdc-fpe" in [thread.name for thread in threading.enumerate()]
+
+        child = multiprocessing.get_context("fork").Process(target=encode_in_child)
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn on forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child did not finish its encoding within 30 s")
+        assert child.exitcode == 0
 
 
 class TestIdentityEncoding:

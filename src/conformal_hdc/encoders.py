@@ -14,14 +14,15 @@ for feature-space experiments:
 Every encoder is deterministic given its seed and immutable once fitted,
 so encoding calls are pure and may run concurrently. The temporal
 encoder's kernel spreads a batch's row blocks over the CPUs in the
-process's affinity mask, one worker each (``taskset`` limits them); its
-codes are bit for bit the same for any number of workers.
+process's affinity mask, one worker each (``taskset`` limits them) up to a
+fixed budget of buffer memory; its codes are bit for bit the same for any
+number of workers.
 """
 
 from __future__ import annotations
 
+import math
 import os
-import queue
 import re
 import threading
 from dataclasses import dataclass
@@ -428,84 +429,31 @@ def _usable_cpus() -> int:
 
 #: Workers of the FPE kernel, the calling thread included; ``taskset`` limits them.
 _WORKERS = _usable_cpus()
-#: Calls handed to the helper threads, and how many threads serve them; the
-#: threads start on the first call with more than one block.
-_tasks = queue.SimpleQueue()
-_helpers = 0
-_helpers_lock = threading.Lock()
+#: Bytes of worker buffers one kernel call may hold, whatever the CPU count:
+#: four workers of the spike workload's shape (d = 10000, 3.85 MB each).
+_KERNEL_BYTES = 16 * 2**20
 
 
-def _forget_helpers() -> None:
-    # a forked child inherits the queue but none of the threads that serve it
-    global _tasks, _helpers, _helpers_lock
-    _tasks, _helpers, _helpers_lock = queue.SimpleQueue(), 0, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def _serve(tasks: queue.SimpleQueue) -> None:
-    """A helper thread: run the worker of each call it is handed."""
-    while True:
-        args = tasks.get()
-        blocks = args[-1]
-        blocks.enter()
-        _fpe_worker(*args)
-        blocks.leave()
-        del args, blocks  # an idle helper keeps no call's arrays alive
-
-
-def _helper_tasks(count: int) -> queue.SimpleQueue:
-    """The helpers' task queue, with at least ``count`` threads serving it."""
-    global _helpers
-    with _helpers_lock:
-        while _helpers < count:
-            threading.Thread(target=_serve, args=(_tasks,), name="conformal-hdc-fpe", daemon=True).start()
-            _helpers += 1
-        return _tasks
-
-
-class _BlockQueue:
-    """The start rows of one call's blocks, handed to whichever worker asks next.
-
-    After a worker records an error, no further block is handed out. A
-    helper enters before it asks and leaves when done, so once every block
-    is handed out, ``join`` waits for exactly the helpers still at work; a
-    helper that enters later gets no block.
-    """
+class _Blocks:
+    """The start rows of one call's blocks, handed to whichever worker asks next; none after an error."""
 
     def __init__(self, n: int, rows: int) -> None:
         self._starts = iter(range(0, n, rows))
-        self._state = threading.Condition()
-        self._inside = 0
+        self._lock = threading.Lock()
         self.error: BaseException | None = None
 
     def next(self) -> int | None:
-        with self._state:
+        with self._lock:
             return next(self._starts, None)
 
     def fail(self, error: BaseException) -> None:
-        with self._state:
+        with self._lock:
             self._starts = iter(())
             if self.error is None:
                 self.error = error
 
-    def enter(self) -> None:
-        with self._state:
-            self._inside += 1
 
-    def leave(self) -> None:
-        with self._state:
-            self._inside -= 1
-            self._state.notify_all()
-
-    def join(self) -> None:
-        with self._state:
-            self._state.wait_for(lambda: self._inside == 0)
-
-
-def _fpe_worker(X: np.ndarray, A: np.ndarray, out: np.ndarray, buffers, blocks: _BlockQueue) -> None:
+def _fpe_worker(X: np.ndarray, A: np.ndarray, out: np.ndarray, buffers, blocks: _Blocks) -> None:
     """Encode the blocks that ``blocks`` hands out into their rows of ``out``, with one worker's buffers."""
     left, phase_buf, work_buf, index_buf, terms_buf = buffers
     n, p, t = X.shape
@@ -539,15 +487,18 @@ def _fpe_superpose(X: np.ndarray, factor: np.ndarray, d: int) -> np.ndarray:
     phasors are then added into the output (``_add_unit_phasors``).
 
     The blocks are spread over one worker per CPU in the process's affinity
-    mask (``taskset`` limits them), at most one per block: the calling
-    thread and, past one block, helper threads that start on first use and
-    stay. Each worker takes the next block from a shared queue, so a slower
-    core takes fewer blocks. A block is computed by the same operations
-    whichever worker runs it, so the codes do not depend on the worker
-    count. Every worker's buffers are allocated here, in the calling thread,
-    so they come from its heap and not from a per-thread arena. An error in
-    any worker stops the others at their next block; once all have stopped,
-    the first error is raised here.
+    mask (``taskset`` limits them), at most one per block and at most as many
+    as fit their buffers in ``_KERNEL_BYTES``: the calling thread and, past
+    one block, helper threads started for this call and joined before it
+    returns. Each worker takes the next block from a shared iterator, so a
+    slower core takes fewer blocks. A block is computed by the same
+    operations whichever worker runs it, so the codes do not depend on the
+    worker count. Every worker's buffers are allocated here, in the calling
+    thread, so they come from its heap and not from a per-thread arena. An
+    error in any worker stops the others at their next block; once all have
+    stopped, the first error is raised here. The workers gain only with one
+    BLAS thread: a multi-threaded OpenBLAS's threads compete with them, and
+    the kernel then runs slower than on one worker.
 
     A row's phases must not depend on its place in the product, or a single
     input would encode unlike its row in a batch. So every product has the
@@ -564,26 +515,36 @@ def _fpe_superpose(X: np.ndarray, factor: np.ndarray, d: int) -> np.ndarray:
     _require_finite(X, "projection input")
     A = factor[: p + t]
     rows = max(2, 2**15 // d)
-    workers = max(1, min(_WORKERS, -(-n // rows)))
+    # one worker's buffers: left[j, r] = [X[r, :, j] | e_j] (rows past a short
+    # block are stale and unused), the phases, and _add_unit_phasors' scratch
+    shapes = [
+        ((t, rows, p + t), np.float64),
+        ((t, rows, A.shape[1]), np.float64),
+        ((3, rows, d), np.float64),
+        ((rows, d), np.intp),
+        ((2, rows, d), np.complex128),
+    ]
+    per_worker = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in shapes)
+    workers = max(1, min(_WORKERS, -(-n // rows), _KERNEL_BYTES // per_worker))
     out = np.zeros((n, d), dtype=np.complex128)
-    # left[w, j, r] = [X[r, :, j] | e_j]; rows past a short block are stale and unused
-    left = np.zeros((workers, t, rows, p + t))
+    buffers = [np.empty((workers, *shape), dtype=dtype) for shape, dtype in shapes]
+    left = buffers[0]
+    left.fill(0.0)
     left[:, np.arange(t), :, p + np.arange(t)] = 1.0
-    buffers = (
-        left,
-        np.empty((workers, t, rows, A.shape[1])),
-        np.empty((workers, 3, rows, d)),
-        np.empty((workers, rows, d), dtype=np.intp),
-        np.empty((workers, 2, rows, d), dtype=np.complex128),
-    )
-    blocks = _BlockQueue(n, rows)
-    if workers > 1:
-        tasks = _helper_tasks(workers - 1)
+    blocks = _Blocks(n, rows)
+    helpers = []
+    try:
         for w in range(1, workers):
-            tasks.put((X, A, out, [b[w] for b in buffers], blocks))
+            helper = threading.Thread(
+                target=_fpe_worker, args=(X, A, out, [b[w] for b in buffers], blocks), name="conformal-hdc-fpe"
+            )
+            helper.start()
+            helpers.append(helper)
+    except BaseException as error:
+        blocks.fail(error)
     _fpe_worker(X, A, out, [b[0] for b in buffers], blocks)
-    # a helper still busy with another call's blocks finds none left here
-    blocks.join()
+    for helper in helpers:
+        helper.join()
     if blocks.error is not None:
         raise blocks.error
     return out

@@ -734,10 +734,13 @@ class TestTemporalEncoding:
         for i in range(n):
             np.testing.assert_array_equal(enc.encode_batch(X[i : i + 1])[0], batch[i])
 
-    def test_batch_memory_independent_of_rows(self):
+    def test_batch_memory_independent_of_rows(self, monkeypatch):
         # rows are encoded in fixed-size blocks, so beyond the output itself
         # the peak does not grow with n (one float64 n x d temporary would add
-        # 1.5 MiB at n=48 and 6 MiB at 4n)
+        # 1.5 MiB at n=48 and 6 MiB at 4n); nor does the number of workers
+        # whose buffers a call holds, whatever the host's CPU count (2.9 MB
+        # each here, 6 blocks at n=48 and 24 at 4n)
+        monkeypatch.setattr(encoders, "_WORKERS", 32)
         enc = TemporalFpeEncoder(p=5, d=4096, t_max=3, seed=27)
         X = np.random.default_rng(12).poisson(3.0, size=(4 * 48, 5, 3)).astype(np.float64)
         extra = []
@@ -757,6 +760,19 @@ class TestFpeWorkers:
         monkeypatch.setattr(encoders, "_WORKERS", workers)
         return enc.encode_batch(X).view(np.int64)
 
+    @staticmethod
+    def _count_workers(monkeypatch):
+        """Wrap the kernel's worker loop: count the workers each call runs."""
+        calls = []
+        worker = encoders._fpe_worker
+
+        def counted(*args):
+            calls.append(threading.get_ident())
+            worker(*args)
+
+        monkeypatch.setattr(encoders, "_fpe_worker", counted)
+        return calls
+
     # the spike workload's shape at d = 10000 (3-row blocks) and d = 2000
     # (16-row blocks), t < t_max, and d = 2001 with its padded factor
     @pytest.mark.parametrize("d, t", [(10_000, 8), (10_000, 5), (2_000, 8), (2_001, 3)])
@@ -765,18 +781,41 @@ class TestFpeWorkers:
         rows = max(2, 2**15 // d)
         sizes = sorted({1, rows - 1, rows, 52, 53, 3 * rows + 1})
         X = np.random.default_rng(d + t).poisson(2.0, size=(max(sizes), 30, t)).astype(np.float64)
+        calls = self._count_workers(monkeypatch)
         for n in sizes:
             want = self._encode(monkeypatch, enc, X[:n], 1)
             for workers in (2, 3):
+                calls.clear()
                 np.testing.assert_array_equal(self._encode(monkeypatch, enc, X[:n], workers), want)
-        assert encoders._helpers >= 2
+                assert len(calls) == min(workers, -(-n // rows))
 
     def test_one_block_call_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(encoders, "_helpers", 0)
+        calls = self._count_workers(monkeypatch)
         enc = TemporalFpeEncoder(p=3, d=2_000, t_max=2, seed=41)
         X = np.random.default_rng(41).normal(size=(16, 3, 2))  # exactly one 16-row block
         self._encode(monkeypatch, enc, X, 3)
-        assert encoders._helpers == 0
+        assert calls == [threading.get_ident()]
+
+    def test_no_helper_outlives_its_call(self, monkeypatch):
+        enc = TemporalFpeEncoder(p=3, d=2_000, t_max=2, seed=41)
+        X = np.random.default_rng(41).normal(size=(5 * 16, 3, 2))
+        before = threading.active_count()
+        self._encode(monkeypatch, enc, X, 3)
+        assert threading.active_count() == before
+
+    def test_buffers_bounded_whatever_the_cpu_count(self, monkeypatch):
+        # a spike-shaped chunk (52 rows, 18 blocks at d = 10000) holds at most
+        # _KERNEL_BYTES of worker buffers (3.85 MB each), not one per CPU
+        enc = TemporalFpeEncoder(p=30, d=10_000, t_max=8, seed=47)
+        X = np.random.default_rng(47).poisson(2.0, size=(52, 30, 8)).astype(np.float64)
+        calls = self._count_workers(monkeypatch)
+        monkeypatch.setattr(encoders, "_WORKERS", 32)
+        tracemalloc.start()
+        out = enc.encode_batch(X)
+        extra = tracemalloc.get_traced_memory()[1] - out.nbytes
+        tracemalloc.stop()
+        assert len(calls) == 4
+        assert extra <= encoders._KERNEL_BYTES
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_phase_limit_in_last_block_raises_then_encoder_recovers(self, monkeypatch, workers):
@@ -827,6 +866,24 @@ class TestFpeWorkers:
         with pytest.raises(RuntimeError, match="^helper thread failed$"):
             enc.encode_batch(X)
 
+    def test_helper_that_cannot_start_stops_the_call(self, monkeypatch):
+        started = []
+
+        class SecondFails(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        enc = TemporalFpeEncoder(p=4, d=2_000, t_max=2, seed=44)
+        X = np.random.default_rng(44).normal(size=(10 * 16, 4, 2))
+        monkeypatch.setattr(encoders.threading, "Thread", SecondFails)
+        monkeypatch.setattr(encoders, "_WORKERS", 3)
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            enc.encode_batch(X)
+        assert len(started) == 1 and not started[0].is_alive()
+
     def test_concurrent_callers_get_the_serial_codes(self, monkeypatch):
         # encoding calls are pure and may run concurrently, on one encoder too
         enc = TemporalFpeEncoder(p=30, d=10_000, t_max=8, seed=45)
@@ -860,19 +917,15 @@ class TestFpeWorkers:
                 np.testing.assert_array_equal(c, serial)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork start method")
-    def test_forked_child_encodes_without_the_parents_helpers(self, monkeypatch):
-        # a child inherits the helpers' task queue but not their threads; it
-        # starts its own, or it would encode on the calling thread alone and
-        # leave each call's arrays in a queue that nothing reads
+    def test_forked_child_encodes_a_multi_block_batch(self, monkeypatch):
+        # a child forked after the parent ran the kernel's threads starts its own
         monkeypatch.setattr(encoders, "_WORKERS", 2)
         enc = TemporalFpeEncoder(p=4, d=2_000, t_max=3, seed=46)
         X = np.random.default_rng(46).normal(size=(50, 4, 3))
         want = enc.encode_batch(X)
-        assert encoders._helpers >= 1
 
         def encode_in_child():
             np.testing.assert_array_equal(enc.encode_batch(X).view(np.int64), want.view(np.int64))
-            assert "conformal-hdc-fpe" in [thread.name for thread in threading.enumerate()]
 
         child = multiprocessing.get_context("fork").Process(target=encode_in_child)
         with warnings.catch_warnings():

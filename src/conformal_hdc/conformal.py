@@ -60,10 +60,15 @@ SCORE_KINDS = ("similarity", "ratio", "discount", "penalized", "inverse_quantile
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return _softmax_in_place(np.array(z, dtype=np.float64), axis)
+
+
+def _softmax_in_place(e: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of the float64 array ``e`` along ``axis``, written over ``e``."""
+    e -= e.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _check_profiles(profiles: np.ndarray) -> np.ndarray:
@@ -120,16 +125,20 @@ def _inverse_quantile_matrix(
     if ((u < 0.0) | (u > 1.0)).any():
         raise ValueError("uniform draws must lie in [0, 1]")
 
-    pi = softmax(profiles / temperature, axis=1)
+    pi = _softmax_in_place(profiles / temperature, axis=1)
     # Stable argsort on -pi orders each row by descending probability with
     # ties broken toward the smaller label index.
     order = np.argsort(-pi, axis=1, kind="stable")
-    cumulative = np.cumsum(np.take_along_axis(pi, order, axis=1), axis=1)
-    # each label's mass through its rank: the cumulative sums put back in label order
-    scores = np.empty_like(pi)
-    np.put_along_axis(scores, order, cumulative, axis=1)
-    scores -= u[:, None] * pi
-    return np.negative(scores, out=scores)
+    # In rank order, each label's mass through its rank less u times its
+    # own, then put back in label order. Each step writes over a buffer
+    # that is done with, so at most three arrays of the profiles' shape
+    # are live; the arithmetic is that of the label-order formula.
+    ranked = np.take_along_axis(pi, order, axis=1)
+    scores = np.cumsum(ranked, axis=1, out=pi)
+    ranked *= u[:, None]
+    scores -= ranked
+    np.put_along_axis(ranked, order, scores, axis=1)
+    return np.negative(ranked, out=ranked)
 
 
 def calibration_scores(

@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hypervectors import random_phase
+from .hypervectors import _random_signs, random_phase
 
 __all__ = [
     "TEXT_VOCABULARY",
@@ -118,8 +118,7 @@ class ItemMemory:
             raise ValueError(f"item memory needs at least one item, got {n_items}")
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
-        rng = np.random.default_rng(seed)
-        vectors = rng.integers(0, 2, size=(n_items, d), dtype=np.int8) * 2 - 1
+        vectors = _random_signs((n_items, d), seed)
         vectors.setflags(write=False)
         self.vectors = vectors
         self.d = d

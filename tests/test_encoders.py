@@ -37,6 +37,7 @@ from conformal_hdc.hypervectors import (
     INVERSE_EUCLIDEAN_CAP,
     BipolarHypervector,
     bind,
+    random_bipolar,
     similarity,
     similarity_matrix,
 )
@@ -52,6 +53,30 @@ class TestItemMemory:
     def test_entries_bipolar(self):
         im = ItemMemory(4, 32, seed=0)
         assert set(np.unique(im.vectors)) <= {-1, 1}
+
+    @pytest.mark.parametrize("shape", [(617, 2000), (27, 10000), (784, 10000), (3, 7), (5, 3), (1, 1)])
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 12345, 2**70, np.random.SeedSequence(9), np.random.SeedSequence((3, 1)).spawn(4)[2]],
+        ids=["int0", "int", "big_int", "seed_sequence", "spawned"],
+    )
+    def test_codebook_is_the_integers_draw_bit_for_bit(self, shape, seed):
+        # read from raw bits; sizes of 21, 15 and 1 end inside a 64-bit word
+        want = np.random.default_rng(seed).integers(0, 2, size=shape, dtype=np.int8) * 2 - 1
+        got = ItemMemory(*shape, seed=seed).vectors
+        assert got.dtype == np.int8 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert random_bipolar(shape[1], seed).elements.tobytes() == want[0].tobytes()
+
+    def test_a_generator_seed_is_drawn_as_before(self):
+        # a caller's generator half way through a 64-bit word: the integers
+        # draw, which also leaves the generator where it always did
+        mine, theirs = np.random.default_rng(4), np.random.default_rng(4)
+        mine.integers(0, 2, size=3, dtype=np.int8)
+        theirs.integers(0, 2, size=3, dtype=np.int8)
+        im = ItemMemory(3, 5, seed=mine)
+        np.testing.assert_array_equal(im.vectors, theirs.integers(0, 2, size=(3, 5), dtype=np.int8) * 2 - 1)
+        assert mine.integers(2**62) == theirs.integers(2**62)
 
 
 class TestLevelMemory:

@@ -158,6 +158,24 @@ class TestMetrics:
             assert got[2][i] == point_accuracy(picks[i], labels)
             assert got[3][i] == point_accuracy(picks[i], labels, count_empty_as_error=False)
 
+    def test_labels_with_leading_axes_equal_one_call_per_row(self):
+        # one row of labels per repetition, broadcast against the kinds axis
+        rng = np.random.default_rng(13)
+        include = rng.uniform(size=(3, 4, 30, 5)) < 0.4
+        labels = rng.integers(0, 5, size=(4, 30))
+        picks = rng.integers(-1, 5, size=(3, 4, 30))
+        coverage, accuracy = empirical_coverage(include, labels), point_accuracy(picks, labels)
+        assert coverage.shape == accuracy.shape == (3, 4)
+        for i, g in np.ndindex(3, 4):
+            assert coverage[i, g] == empirical_coverage(include[i, g], labels[g])
+            assert accuracy[i, g] == point_accuracy(picks[i, g], labels[g])
+        with pytest.raises(ValueError, match="equal length"):
+            empirical_coverage(include, labels[:3])
+        with pytest.raises(ValueError, match="equal length"):
+            point_accuracy(picks[0], np.stack([labels] * 2))
+        with pytest.raises(ValueError):
+            empirical_coverage(include, labels - 1)  # a -1 label
+
     def test_auc_examples(self):
         assert ood_auc([0.1, 0.2], [0.3, 0.4]) == 1.0
         assert ood_auc([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]) == 0.5
@@ -361,9 +379,10 @@ def _reference_ood_auc(inlier_scores, ood_scores_) -> float:
     return float(u / (inl.size * ood.size))
 
 
-def _per_kind_profiles(config, n_classes, prof, y_cal, y_test, u_ss):
-    """The repetition metrics scored, calibrated and graded one score kind at a time."""
-    prof_cal, prof_test, prof_full_test, prof_ood = (prof[k] for k in ("cal", "test", "full_test", "ood"))
+def _per_kind_profiles(config, rep):
+    """One repetition's metrics scored, calibrated and graded one score kind at a time."""
+    prof_cal, prof_test, prof_full_test, prof_ood, y_cal, y_test, u_ss = rep
+    n_classes = prof_cal.shape[1]
     u_rng = np.random.default_rng(u_ss)
     u_cal = u_rng.uniform(size=prof_cal.shape[0])
     u_test = u_rng.uniform(size=prof_test.shape[0])
@@ -457,7 +476,7 @@ def _fancy_index_repetition(config, fractions, feats, labels, ood_feats, split_s
     }
     if len(ood_feats):
         prof["ood"] = similarity_matrix(encoder.encode_batch(ood_feats), protos_train, kind)
-    return evaluation._evaluate_profiles(config, n_classes, prof, labels[cal], labels[test], u_ss)
+    return evaluation._Profiles(**prof, y_cal=labels[cal], y_test=labels[test], u_ss=u_ss)
 
 
 def _letters_bundle(seed=0, n_classes=6, per_class=25, p=12):
@@ -471,15 +490,15 @@ def _letters_bundle(seed=0, n_classes=6, per_class=25, p=12):
 def _profiles_seen(monkeypatch, run):
     """The profile arrays ``run()`` hands to the metrics, one tuple per repetition."""
     seen = []
-    metrics = evaluation._evaluate_profiles
+    grade = evaluation._evaluate_group
 
-    def record(config, n_classes, prof, *rest):
-        seen.append(tuple(prof[k] for k in ("cal", "test", "full_test", "ood")))
-        return metrics(config, n_classes, prof, *rest)
+    def record(config, group):
+        seen.extend((r.cal, r.test, r.full_test, r.ood) for r in group)
+        return grade(config, group)
 
-    monkeypatch.setattr(evaluation, "_evaluate_profiles", record)
+    monkeypatch.setattr(evaluation, "_evaluate_group", record)
     result = run()
-    monkeypatch.setattr(evaluation, "_evaluate_profiles", metrics)
+    monkeypatch.setattr(evaluation, "_evaluate_group", grade)
     return result, seen
 
 
@@ -564,29 +583,87 @@ class TestStreamedRepetition:
         assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
 
 
-class TestBatchedMetrics:
-    @pytest.mark.parametrize(
-        "config, bundle",
-        [
-            (ExperimentConfig(dataset="synthetic", repetitions=6, seed=7, n_ood=60), None),
-            (ExperimentConfig(dataset="synthetic", repetitions=6, seed=7, n_ood=60, conditional=True), None),
-            (ExperimentConfig(dataset="synthetic", repetitions=4, seed=8, n_ood=0, conditional=True), None),
-            (ExperimentConfig(dataset="synthetic", repetitions=3, seed=9, score_kinds=()), None),
-            (ExperimentConfig(dataset="synthetic", repetitions=3, seed=9, score_kinds=("inverse_quantile",)), None),
-            (
-                ExperimentConfig(dataset="isolet", d=256, repetitions=4, seed=9, ood_holdout=("F",), conditional=True),
-                _letters_bundle(),
-            ),
-            (ExperimentConfig(dataset="isolet", d=256, repetitions=4, seed=9, ood_holdout=("F",)), _letters_bundle()),
-            (ExperimentConfig(dataset="spike_surrogate", d=64, repetitions=4, seed=10), None),
-            (ExperimentConfig(dataset="spike_surrogate", d=64, repetitions=4, seed=10, conditional=True), None),
-        ],
-        ids=[
-            "synthetic-marginal", "synthetic-conditional", "no-ood", "no-kinds", "one-kind",
-            "isolet-conditional", "isolet-marginal", "spike-d64-marginal", "spike-d64-conditional",
-        ],
+_BATCHED_CASES = pytest.mark.parametrize(
+    "config, bundle",
+    [
+        (ExperimentConfig(dataset="synthetic", repetitions=6, seed=7, n_ood=60), None),
+        (ExperimentConfig(dataset="synthetic", repetitions=6, seed=7, n_ood=60, conditional=True), None),
+        (ExperimentConfig(dataset="synthetic", repetitions=4, seed=8, n_ood=0, conditional=True), None),
+        (ExperimentConfig(dataset="synthetic", repetitions=3, seed=9, score_kinds=()), None),
+        (ExperimentConfig(dataset="synthetic", repetitions=3, seed=9, score_kinds=("inverse_quantile",)), None),
+        (
+            ExperimentConfig(dataset="isolet", d=256, repetitions=4, seed=9, ood_holdout=("F",), conditional=True),
+            _letters_bundle(),
+        ),
+        (ExperimentConfig(dataset="isolet", d=256, repetitions=4, seed=9, ood_holdout=("F",)), _letters_bundle()),
+        (ExperimentConfig(dataset="spike_surrogate", d=64, repetitions=4, seed=10), None),
+        (ExperimentConfig(dataset="spike_surrogate", d=64, repetitions=4, seed=10, conditional=True), None),
+    ],
+    ids=[
+        "synthetic-marginal", "synthetic-conditional", "no-ood", "no-kinds", "one-kind",
+        "isolet-conditional", "isolet-marginal", "spike-d64-marginal", "spike-d64-conditional",
+    ],
+)
+
+
+def _grade_one_at_a_time(monkeypatch):
+    """Grade every repetition alone, one score kind at a time, with the reference."""
+    monkeypatch.setattr(
+        evaluation, "_evaluate_group", lambda config, reps: [_per_kind_profiles(config, r) for r in reps]
     )
+
+
+class TestBatchedMetrics:
+    @_BATCHED_CASES
     def test_matches_scoring_one_kind_at_a_time(self, monkeypatch, config, bundle):
-        batched = run_experiment(config, bundle)
-        monkeypatch.setattr(evaluation, "_evaluate_profiles", _per_kind_profiles)
-        _assert_same_methods(batched.methods, run_experiment(config, bundle).methods)
+        grouped = run_experiment(config, bundle)
+        _grade_one_at_a_time(monkeypatch)
+        _assert_same_methods(grouped.methods, run_experiment(config, bundle).methods)
+
+    @_BATCHED_CASES
+    @pytest.mark.parametrize("group", [1, 3, "all"], ids=["groups_of_1", "groups_of_3", "one_group"])
+    def test_forced_groups_match_grading_one_repetition_at_a_time(self, monkeypatch, config, bundle, group):
+        # the budget holds `group` repetitions' float64 scores over all kinds
+        size = config.repetitions if group == "all" else group
+        monkeypatch.setattr(evaluation, "_GROUP_BYTES", size * _scores_bytes(config, bundle))
+        sizes = []
+        grade = evaluation._evaluate_group
+
+        def record(config, reps):
+            sizes.append(len(reps))
+            return grade(config, reps)
+
+        monkeypatch.setattr(evaluation, "_evaluate_group", record)
+        grouped = run_experiment(config, bundle)
+        full, rest = divmod(config.repetitions, size)
+        assert sizes == [size] * full + [rest] * (rest > 0)
+        _grade_one_at_a_time(monkeypatch)
+        _assert_same_methods(grouped.methods, run_experiment(config, bundle).methods)
+
+    def test_grading_peak_memory_does_not_grow_with_repetitions(self):
+        # One pass over all 64 repetitions would stack 64 * 132 kB = 8 MiB of
+        # scores. In groups of 6 under the 896 KiB budget both runs hold one
+        # full group at their peak, and the 64-repetition run adds only its
+        # 56 more repetitions' metric dicts, about 3 kB each; the slack is
+        # 512 KiB.
+        peaks = []
+        for reps in (8, 64):
+            tracemalloc.start()
+            try:
+                run_experiment(ExperimentConfig(dataset="synthetic", repetitions=reps, seed=6))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < evaluation._GROUP_BYTES + 2**19, peaks
+
+
+def _scores_bytes(config, bundle):
+    """Bytes of one repetition's float64 scores over all kinds: the grading budget's unit."""
+    fixed = None if bundle is None else evaluation._holdout_partition(bundle, config.resolved_holdout())
+    data_ss, split_ss, enc_ss, u_ss = evaluation._rep_seed_parts(config.seed, 0)
+    feats, labels, ood, _ = evaluation._rep_data(config, fixed, data_ss)
+    rep = evaluation._evaluate_repetition(
+        config, config.resolved_fractions(), feats, labels, ood, split_ss, enc_ss, u_ss
+    )
+    rows = sum(0 if p is None else p.shape[0] for p in (rep.cal, rep.test, rep.ood))
+    return 8 * rows * rep.cal.shape[1] * max(1, len(config.score_kinds))

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import SCORE_KINDS
-from .datasets import DatasetError, ingest_isolet, ingest_languages, ingest_mnist
-from .evaluation import DATASETS, ExperimentConfig, ExperimentResult, run_experiment
+from .datasets import DatasetError
+from .evaluation import RECIPES, ExperimentConfig, ExperimentResult, run_experiment
 
 __all__ = ["main", "parse_config_file", "write_results"]
 
@@ -83,9 +83,6 @@ _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 _ALIASES = {"lambda": "lam", "reps": "repetitions", "scores": "score_kinds"}
 #: the config-file key of each ExperimentConfig field: its alias, or else its name
 _KEY_FIELDS = {**{f: f for f in _FIELD_TYPES if f not in _ALIASES.values()}, **_ALIASES}
-#: dataset files whose bytes a ``<key>_sha256`` digest can pin
-_CHECKED_PATHS = ("mnist_images", "mnist_labels", "isolet_path")
-_OTHER_KEYS = {"out", "languages_dir", *_CHECKED_PATHS, *(f"{k}_sha256" for k in _CHECKED_PATHS)}
 _SCALAR_PARSERS = {str: lambda key, value: value, bool: _parse_bool, int: _parse_int, float: _parse_float}
 
 
@@ -114,15 +111,19 @@ def build_config(options: dict) -> ExperimentConfig:
     Each key names an ``ExperimentConfig`` field, three of them through an
     alias (``lambda``, ``reps``, ``scores`` set ``lam``, ``repetitions``,
     ``score_kinds``), and is read by the field's type; the output
-    directory and dataset-path keys pass through. Any other key is an
-    error, so a misspelled key cannot fall back to its default.
+    directory and every recipe's path keys, with their digests, pass
+    through. Any other key is an error, so a misspelled key cannot fall
+    back to its default.
     """
+    other_keys = {"out"}
+    for recipe in RECIPES.values():
+        other_keys.update(recipe.path_keys, (f"{k}_sha256" for k in recipe.checked_keys))
     kwargs: dict = {}
     for key, value in options.items():
         if key in _KEY_FIELDS:
             name = _KEY_FIELDS[key]
             kwargs[name] = _parse_field(key, _FIELD_TYPES[name], value)
-        elif key not in _OTHER_KEYS:
+        elif key not in other_keys:
             raise ValueError(f"unknown config key {key!r}")
 
     config = ExperimentConfig(**kwargs)
@@ -143,22 +144,16 @@ def _verify_checksum(options: dict, key: str) -> None:
 
 
 def _load_bundle(config: ExperimentConfig, options: dict):
-    if config.dataset == "mnist":
-        for key in ("mnist_images", "mnist_labels"):
-            if key not in options:
-                raise ValueError(f"dataset mnist requires the config key {key!r} (IDX file path)")
+    """The bundle the recipe ingests from its path keys, or None for a generated recipe."""
+    recipe = RECIPES[config.dataset]
+    if recipe.ingest is None:
+        return None
+    for key in recipe.path_keys:
+        if key not in options:
+            raise ValueError(f"dataset {config.dataset} requires the config key {key!r}")
+        if key in recipe.checked_keys:
             _verify_checksum(options, key)
-        return ingest_mnist(options["mnist_images"], options["mnist_labels"])
-    if config.dataset == "isolet":
-        if "isolet_path" not in options:
-            raise ValueError("dataset isolet requires the config key 'isolet_path'")
-        _verify_checksum(options, "isolet_path")
-        return ingest_isolet(options["isolet_path"])
-    if config.dataset == "languages":
-        if "languages_dir" not in options:
-            raise ValueError("dataset languages requires the config key 'languages_dir'")
-        return ingest_languages(options["languages_dir"])
-    return None
+    return recipe.ingest(*(options[key] for key in recipe.path_keys))
 
 
 def config_hash(result: ExperimentResult) -> str:
@@ -243,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run conformal hyperdimensional-computing experiments.",
     )
     parser.add_argument("--config", help="path to a flat key = value configuration file")
-    parser.add_argument("--dataset", choices=DATASETS, help="dataset to evaluate")
+    parser.add_argument("--dataset", choices=tuple(RECIPES), help="dataset to evaluate")
     parser.add_argument("--alpha", type=float, help="significance level in (0, 1)")
     parser.add_argument(
         "--score",

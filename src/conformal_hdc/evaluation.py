@@ -11,7 +11,7 @@ results are independent of execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -37,11 +37,11 @@ from .hypervectors import similarity_matrix
 from .synthetic import SyntheticConfig, generate_synthetic
 
 __all__ = [
-    "DEFAULT_FRACTIONS",
-    "DEFAULT_OOD_HOLDOUT",
+    "RECIPES",
     "ExperimentConfig",
     "ExperimentResult",
     "MethodMetrics",
+    "Recipe",
     "SplitSpec",
     "average_set_size",
     "empirical_coverage",
@@ -50,25 +50,6 @@ __all__ = [
     "run_experiment",
     "split_data",
 ]
-
-# train / calibration / test fractions used by each benchmark
-DEFAULT_FRACTIONS = {
-    "synthetic": (0.40, 0.50, 0.10),
-    "mnist": (0.80, 0.15, 0.05),
-    "languages": (0.75, 0.225, 0.025),
-    "isolet": (0.57, 0.38, 0.05),
-    "spike_surrogate": (0.50, 0.40, 0.10),
-}
-
-DEFAULT_OOD_HOLDOUT = {
-    "synthetic": (),
-    "mnist": ("6", "7", "8", "9"),
-    "isolet": ("W", "X", "Y", "Z"),
-    "languages": ("Finnish", "Estonian", "Hungarian"),
-    "spike_surrogate": ("run",),
-}
-
-DATASETS = tuple(DEFAULT_FRACTIONS)
 
 METHOD_HDC = "hdc"
 
@@ -262,8 +243,8 @@ class ExperimentConfig:
     spike_rate_scale: float = 1.2
 
     def validate(self) -> None:
-        if self.dataset not in DATASETS:
-            raise ValueError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
+        if self.dataset not in RECIPES:
+            raise ValueError(f"dataset must be one of {tuple(RECIPES)}, got {self.dataset!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.d < 1:
@@ -290,12 +271,12 @@ class ExperimentConfig:
             raise ValueError(f"spike_rate_scale must be finite and > 0, got {self.spike_rate_scale}")
 
     def resolved_fractions(self) -> Tuple[float, float, float]:
-        return self.fractions if self.fractions is not None else DEFAULT_FRACTIONS[self.dataset]
+        return self.fractions if self.fractions is not None else RECIPES[self.dataset].fractions
 
     def resolved_holdout(self) -> Tuple[str, ...]:
         if self.ood_holdout is not None:
             return tuple(str(v) for v in self.ood_holdout)
-        return DEFAULT_OOD_HOLDOUT[self.dataset]
+        return RECIPES[self.dataset].ood_holdout
 
 
 @dataclass
@@ -335,23 +316,43 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Recipe:
+    """One dataset recipe: its split, OOD holdout, model and data source.
+
+    ``encoder(config, features, train_idx, seed)`` builds a repetition's
+    encoder. The data come from ``generate(config, seed)``, which draws one
+    repetition's features, dense labels, OOD features and label names, or
+    else from the bundle ``ingest(*paths)`` reads from the files that the
+    config keys ``path_keys`` name; those in ``checked_keys`` take a
+    ``<key>_sha256`` digest. ``echo`` names the config fields the recipe
+    reads beyond ``_SHARED_ECHO``, for ``results.json`` to record.
+    """
+
+    fractions: Tuple[float, float, float]
+    ood_holdout: Tuple[str, ...]
+    style: str
+    similarity: str
+    encoder: Callable
+    generate: Callable | None = None
+    ingest: Callable | None = None
+    path_keys: Tuple[str, ...] = ()
+    checked_keys: Tuple[str, ...] = ()
+    echo: Tuple[str, ...] = ()
+
+
 def _holdout_partition(bundle, holdout_names: Tuple[str, ...]):
     names = [str(n) for n in bundle.label_names]
-    held = {n for n in holdout_names}
-    unknown = held - set(names)
+    unknown = set(holdout_names) - set(names)
     if unknown:
         raise ValueError(f"ood_holdout labels {sorted(unknown)} not present in {names}")
-    held_ids = {i for i, n in enumerate(names) if n in held}
-    labels = np.asarray(bundle.labels)
-    ood_mask = np.isin(labels, sorted(held_ids))
-    kept_ids = [i for i in range(len(names)) if i not in held_ids]
-    remap = {old: new for new, old in enumerate(kept_ids)}
+    kept_ids = [i for i, n in enumerate(names) if n not in holdout_names]
+    labels = check_class_labels(bundle.labels, len(names))
+    ood_mask = ~np.isin(labels, kept_ids)
     features = np.asarray(bundle.features)
-    in_features = features[~ood_mask]
-    in_labels = np.array([remap[int(y)] for y in labels[~ood_mask]], dtype=np.int64)
-    ood_features = features[ood_mask]
-    kept_names = [names[i] for i in kept_ids]
-    return in_features, in_labels, ood_features, kept_names
+    # a kept label's new id is its rank among the kept ids
+    in_labels = np.searchsorted(kept_ids, labels[~ood_mask]).astype(np.int64)
+    return features[~ood_mask], in_labels, features[ood_mask], [names[i] for i in kept_ids]
 
 
 def _rep_seed_parts(master_seed: int, rep: int):
@@ -359,62 +360,70 @@ def _rep_seed_parts(master_seed: int, rep: int):
     return root.spawn(4)  # data, split, encoder, randomization
 
 
-def _build_encoder(config: ExperimentConfig, features, train_idx, enc_seed):
-    ds = config.dataset
-    if ds == "synthetic":
-        return IdentityEncoder(p=np.asarray(features).shape[1])
-    if ds == "mnist":
-        return BinaryImageEncoder(p=np.asarray(features).shape[1], d=config.d, seed=enc_seed)
-    if ds == "isolet":
-        enc = QuantizedFeatureEncoder(
-            p=np.asarray(features).shape[1], d=config.d, levels=config.levels, seed=enc_seed
-        )
-        enc.fit(np.asarray(features)[train_idx])
-        return enc
-    if ds == "languages":
-        return TrigramTextEncoder(d=config.d, seed=enc_seed)
-    if ds == "spike_surrogate":
-        arr = np.asarray(features)
-        return TemporalFpeEncoder(
-            p=arr.shape[1], d=config.d, t_max=arr.shape[2], beta=config.beta, seed=enc_seed
-        )
-    raise ValueError(f"no encoder recipe for dataset {ds!r}")
+def _synthetic_data(config: ExperimentConfig, seed):
+    sigma = (1.0, 2.0, config.sigma3)
+    cfg = SyntheticConfig(sigma=sigma, n_per_class=config.n_per_class, n_ood=config.n_ood, seed=seed)
+    return (*generate_synthetic(cfg), ["1", "2", "3"])
 
 
-_RECIPE_STYLE = {
-    "synthetic": ("centroid", "inverse_euclidean"),
-    "mnist": ("binarized", "cosine_normalized"),
-    "isolet": ("binarized", "cosine_normalized"),
-    "languages": ("l2_normalized_real", "cosine_normalized"),
-    "spike_surrogate": ("raw_complex", "complex_cosine"),
+def _spike_data(config: ExperimentConfig, seed):
+    bundle = _datasets.generate_spike_surrogate(
+        _datasets.SpikeSurrogateConfig(
+            n_classes=config.spike_classes, n_neurons=config.spike_neurons, n_bins=config.spike_bins,
+            n_per_class=config.spike_per_class, n_ood=config.spike_ood,
+            rate_scale=config.spike_rate_scale, seed=seed,
+        )
+    )
+    return _holdout_partition(bundle, config.resolved_holdout())
+
+
+def _quantized_encoder(config: ExperimentConfig, features, train_idx, seed):
+    enc = QuantizedFeatureEncoder(p=features.shape[1], d=config.d, levels=config.levels, seed=seed)
+    enc.fit(features[train_idx])  # the grid sees the train rows only
+    return enc
+
+
+#: the config fields that results.json records for every recipe, besides
+#: the resolved fractions and OOD holdout
+_SHARED_ECHO = (
+    "dataset", "alpha", "d", "score_kinds", "repetitions", "seed", "lam", "temperature", "conditional"
+)
+
+# Data functions are called through their modules, so a wrapper set on a
+# module's function (as bench/tracer.py sets) sees the recipes' calls too.
+RECIPES: Dict[str, Recipe] = {
+    "synthetic": Recipe(
+        (0.40, 0.50, 0.10), (), "centroid", "inverse_euclidean",
+        encoder=lambda config, x, train_idx, seed: IdentityEncoder(p=x.shape[1]),
+        generate=_synthetic_data,
+        echo=("sigma3", "n_per_class", "n_ood"),
+    ),
+    "mnist": Recipe(
+        (0.80, 0.15, 0.05), ("6", "7", "8", "9"), "binarized", "cosine_normalized",
+        encoder=lambda config, x, train_idx, seed: BinaryImageEncoder(p=x.shape[1], d=config.d, seed=seed),
+        ingest=lambda images, labels: _datasets.ingest_mnist(images, labels),
+        path_keys=("mnist_images", "mnist_labels"), checked_keys=("mnist_images", "mnist_labels"),
+    ),
+    "languages": Recipe(
+        (0.75, 0.225, 0.025), ("Finnish", "Estonian", "Hungarian"), "l2_normalized_real", "cosine_normalized",
+        encoder=lambda config, x, train_idx, seed: TrigramTextEncoder(d=config.d, seed=seed),
+        ingest=lambda directory: _datasets.ingest_languages(directory),
+        path_keys=("languages_dir",),
+    ),
+    "isolet": Recipe(
+        (0.57, 0.38, 0.05), ("W", "X", "Y", "Z"), "binarized", "cosine_normalized",
+        encoder=_quantized_encoder,
+        ingest=lambda table: _datasets.ingest_isolet(table),
+        path_keys=("isolet_path",), checked_keys=("isolet_path",),
+    ),
+    "spike_surrogate": Recipe(
+        (0.50, 0.40, 0.10), ("run",), "raw_complex", "complex_cosine",
+        encoder=lambda config, x, train_idx, seed: TemporalFpeEncoder(
+            p=x.shape[1], d=config.d, t_max=x.shape[2], beta=config.beta, seed=seed
+        ),
+        generate=_spike_data,
+    ),
 }
-
-
-def _rep_data(config: ExperimentConfig, fixed, data_seed):
-    """Features, dense labels, OOD pool, and label names for one repetition."""
-    if config.dataset == "synthetic":
-        cfg = SyntheticConfig(
-            sigma=(1.0, 2.0, config.sigma3),
-            n_per_class=config.n_per_class,
-            n_ood=config.n_ood,
-            seed=data_seed,
-        )
-        feats, labels, ood = generate_synthetic(cfg)
-        return feats, labels, ood, ["1", "2", "3"]
-    if config.dataset == "spike_surrogate":
-        bundle = _datasets.generate_spike_surrogate(
-            _datasets.SpikeSurrogateConfig(
-                n_classes=config.spike_classes,
-                n_neurons=config.spike_neurons,
-                n_bins=config.spike_bins,
-                n_per_class=config.spike_per_class,
-                n_ood=config.spike_ood,
-                rate_scale=config.spike_rate_scale,
-                seed=data_seed,
-            )
-        )
-        return _holdout_partition(bundle, config.resolved_holdout())
-    return fixed
 
 
 def _aggregate(values: List[float]) -> Tuple[float, float]:
@@ -459,8 +468,8 @@ def _group_size(rep: _Profiles, n_kinds: int) -> int:
 def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
     """Repeat split/train/calibrate/evaluate and aggregate the metrics.
 
-    Real datasets require an ingested ``bundle``; the synthetic and
-    spike-surrogate benchmarks draw fresh data each repetition. Each
+    A recipe without a generator (``RECIPES``) requires an ingested
+    ``bundle``; the others draw fresh data each repetition. Each
     repetition's rows are encoded and profiled on their own; consecutive
     repetitions' profiles are then graded together, in groups whose
     stacked scores fit in a fixed budget (``_GROUP_BYTES``, 896 KiB over
@@ -476,9 +485,10 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
     """
     config.validate()
     fractions = config.resolved_fractions()
+    recipe = RECIPES[config.dataset]
 
     fixed = None
-    if config.dataset in ("mnist", "isolet", "languages"):
+    if recipe.generate is None:
         if bundle is None:
             raise ValueError(f"dataset {config.dataset!r} requires an ingested data bundle")
         fixed = _holdout_partition(bundle, config.resolved_holdout())
@@ -496,7 +506,7 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
 
     for rep in range(config.repetitions):
         data_ss, split_ss, enc_ss, u_ss = _rep_seed_parts(config.seed, rep)
-        feats, labels, ood_feats, label_names = _rep_data(config, fixed, data_ss)
+        feats, labels, ood_feats, label_names = recipe.generate(config, data_ss) if fixed is None else fixed
         profiles = _evaluate_repetition(
             config, fractions, feats, labels, ood_feats, split_ss, enc_ss, u_ss
         )
@@ -529,23 +539,10 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
             )
         rows.append(MethodMetrics(method=m, **fields))
 
-    echo = {
-        "dataset": config.dataset,
-        "alpha": config.alpha,
-        "d": config.d,
-        "score_kinds": list(config.score_kinds),
-        "repetitions": config.repetitions,
-        "seed": config.seed,
-        "fractions": list(fractions),
-        "ood_holdout": list(config.resolved_holdout()),
-        "lam": config.lam,
-        "temperature": config.temperature,
-        "conditional": config.conditional,
-    }
-    if config.dataset == "synthetic":
-        echo.update(
-            sigma3=config.sigma3, n_per_class=list(config.n_per_class), n_ood=config.n_ood
-        )
+    echo = {"fractions": list(fractions), "ood_holdout": list(config.resolved_holdout())}
+    for name in _SHARED_ECHO + recipe.echo:
+        value = getattr(config, name)
+        echo[name] = list(value) if isinstance(value, tuple) else value
 
     return ExperimentResult(
         dataset=config.dataset,
@@ -568,8 +565,9 @@ def _evaluate_repetition(
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels.max()) + 1
     train_idx, cal_idx, test_idx = split_data(labels.shape[0], SplitSpec(fractions, seed=split_ss))
-    encoder = _build_encoder(config, feats, train_idx, enc_ss)
-    style, sim_kind = _RECIPE_STYLE[config.dataset]
+    recipe = RECIPES[config.dataset]
+    encoder = recipe.encoder(config, feats, train_idx, enc_ss)
+    style, sim_kind = recipe.style, recipe.similarity
     rows = _chunk_rows(encoder.d)
     sums, counts = 0, 0  # the first += makes them arrays of class_sums's dtypes
     prof = {"cal": [], "test": [], "full_test": [], "ood": []}

@@ -1,12 +1,16 @@
 """Command-line behavior: configuration, outputs, and determinism."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from conformal_hdc import evaluation
 from conformal_hdc.cli import CSV_COLUMNS, build_config, main, parse_config_file
+from conformal_hdc.datasets import DatasetBundle
+from conformal_hdc.encoders import IdentityEncoder
 
 from test_datasets import write_idx_pair
 
@@ -202,3 +206,69 @@ class TestMnistPipelinePlumbing:
         assert payload["config"]["ood_holdout"] == ["6", "7", "8", "9"]
         hdc = [r for r in payload["results"] if r["method"] == "hdc"][0]
         assert float(hdc["accuracy"]) > 0.5
+
+
+def write_languages(directory, seed=0, lines=40, width=60):
+    """Six ``<language>.txt`` files of random lines, each language with its own letter frequencies."""
+    rng = np.random.default_rng(seed)
+    alphabet = np.array(list("abcdefghijklmnopqrstuvwxyz "))
+    directory.mkdir()
+    for i, name in enumerate(["English", "Estonian", "Finnish", "German", "Hungarian", "Spanish"]):
+        weights = rng.random(27) ** 3 + 0.02
+        weights[26] = 0.15 + 0.02 * i
+        text = ["".join(rng.choice(alphabet, size=width, p=weights / weights.sum())) for _ in range(lines)]
+        (directory / f"{name}.txt").write_text("\n".join(text) + "\n")
+    return directory
+
+
+class TestLanguagesPipeline:
+    def test_generated_corpus_end_to_end_and_deterministic(self, tmp_path):
+        corpus = write_languages(tmp_path / "corpus")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = languages\nlanguages_dir = {corpus}\nd = 512\nreps = 2\nseed = 5\n")
+        for out in ("a", "b"):
+            assert run_cli(["--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        payload = json.loads((tmp_path / "a" / "results.json").read_text())
+        assert payload["config"]["ood_holdout"] == ["Finnish", "Estonian", "Hungarian"]
+        assert payload["label_names"] == ["English", "German", "Spanish"]
+        for name in ("results.csv", "results.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _ingest_npz(path):
+    data = np.load(path)
+    return DatasetBundle(data["features"], data["labels"], ["a", "b", "c"], {"file": str(path)})
+
+
+class TestRecipeFromTable:
+    @pytest.fixture
+    def toy(self, monkeypatch, tmp_path):
+        """An ingested recipe added as one table entry, and its data file."""
+        recipe = evaluation.Recipe(
+            (0.5, 0.3, 0.2), ("c",), "centroid", "inverse_euclidean",
+            encoder=lambda config, x, train_idx, seed: IdentityEncoder(p=x.shape[1]),
+            ingest=_ingest_npz, path_keys=("toy_file",), checked_keys=("toy_file",),
+        )
+        monkeypatch.setitem(evaluation.RECIPES, "toy", recipe)
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(3), 30)
+        path = tmp_path / "toy.npz"
+        np.savez(path, features=rng.normal(size=(90, 3)) + 4.0 * np.eye(3)[labels], labels=labels)
+        return path
+
+    def test_dataset_choice_path_key_and_digest_come_from_the_table(self, toy, tmp_path):
+        digest = hashlib.sha256(toy.read_bytes()).hexdigest()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"toy_file = {toy}\ntoy_file_sha256 = {digest}\nreps = 2\n")
+        assert run_cli(["--config", str(cfg), "--dataset", "toy", "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert payload["config"]["ood_holdout"] == ["c"] and payload["label_names"] == ["a", "b"]
+        assert payload["provenance"] == {"file": str(toy)}
+
+    def test_missing_path_and_wrong_digest_fail(self, toy, tmp_path, capsys):
+        assert run_cli(["--dataset", "toy", "--out", str(tmp_path / "out")]) == 1
+        assert "requires the config key 'toy_file'" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = toy\ntoy_file = {toy}\ntoy_file_sha256 = {'0' * 64}\n")
+        assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "checksum mismatch" in capsys.readouterr().err

@@ -20,8 +20,10 @@ from conformal_hdc.conformal import (
     sets_from_scores,
 )
 from conformal_hdc.datasets import DatasetBundle
+from conformal_hdc.encoders import IdentityEncoder
 from conformal_hdc.evaluation import (
     ExperimentConfig,
+    Recipe,
     SplitSpec,
     average_set_size,
     empirical_coverage,
@@ -30,7 +32,7 @@ from conformal_hdc.evaluation import (
     run_experiment,
     split_data,
 )
-from conformal_hdc.hypervectors import EPS, similarity_matrix
+from conformal_hdc.hypervectors import EPS, SIMILARITY_KINDS, similarity_matrix
 from conformal_hdc.synthetic import SyntheticConfig, generate_synthetic
 
 
@@ -353,6 +355,57 @@ class TestRunExperiment:
             run_experiment(cfg)  # before the first repetition
 
 
+def _blobs(config, seed):
+    """Two Gaussian classes in four dimensions and a third blob as the OOD pool."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(2), 30)
+    feats = rng.normal(size=(60, 4)) + 3.0 * labels[:, None]
+    return feats, labels, rng.normal(-3.0, 1.0, size=(config.n_ood, 4)), ["a", "b"]
+
+
+class TestRecipeTable:
+    def test_a_toy_recipe_is_one_table_entry(self, monkeypatch):
+        toy = Recipe(
+            (0.5, 0.3, 0.2), (), "centroid", "inverse_euclidean",
+            encoder=lambda config, x, train_idx, seed: IdentityEncoder(p=x.shape[1]),
+            generate=_blobs, echo=("n_ood",),
+        )
+        monkeypatch.setitem(evaluation.RECIPES, "toy", toy)
+        config = ExperimentConfig(dataset="toy", repetitions=3, seed=2, n_ood=10)
+        result = run_experiment(config)
+        assert config.resolved_fractions() == (0.5, 0.3, 0.2) and config.resolved_holdout() == ()
+        assert result.label_names == ["a", "b"]
+        assert result.config["fractions"] == [0.5, 0.3, 0.2] and result.config["n_ood"] == 10
+        assert result.methods[0].accuracy > 0.9
+        assert all(np.isfinite(m.auc) for m in result.methods[1:])
+
+    def test_every_recipe_has_a_known_style_kind_and_one_data_source(self):
+        for name, recipe in evaluation.RECIPES.items():
+            assert recipe.style in classifier.PROTOTYPE_STYLES, name
+            assert recipe.similarity in SIMILARITY_KINDS, name
+            assert (recipe.generate is None) != (recipe.ingest is None), name
+            assert set(recipe.checked_keys) <= set(recipe.path_keys), name
+            SplitSpec(recipe.fractions)
+
+    def test_holdout_partition_relabels_kept_classes_densely(self):
+        names = list("ABCDE")
+        labels = np.array([4, 0, 1, 3, 2, 4, 1, 0, 3])
+        bundle = DatasetBundle(np.arange(9.0)[:, None], labels, names)
+        feats, dense, ood, kept = evaluation._holdout_partition(bundle, ("B", "D"))
+        assert kept == ["A", "C", "E"]
+        remap = {0: 0, 2: 1, 4: 2}
+        inliers = labels[~np.isin(labels, [1, 3])]
+        assert dense.dtype == np.int64
+        np.testing.assert_array_equal(dense, [remap[y] for y in inliers])
+        np.testing.assert_array_equal(feats[:, 0], np.flatnonzero(~np.isin(labels, [1, 3])))
+        np.testing.assert_array_equal(ood[:, 0], np.flatnonzero(np.isin(labels, [1, 3])))
+
+    def test_holdout_partition_rejects_a_label_without_a_name(self):
+        bundle = DatasetBundle(np.zeros((3, 1)), [0, 1, 3], ["A", "B", "C"])
+        with pytest.raises(ValueError, match="range"):
+            evaluation._holdout_partition(bundle, ("B",))
+
+
 class TestCoverageAcrossAlphas:
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2])
     def test_marginal_band_holds_for_every_kind(self, alpha):
@@ -462,8 +515,9 @@ def _fancy_index_repetition(config, fractions, feats, labels, ood_feats, split_s
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels.max()) + 1
     train, cal, test = split_data(labels.shape[0], SplitSpec(fractions, seed=split_ss))
-    encoder = evaluation._build_encoder(config, feats, train, enc_ss)
-    style, kind = evaluation._RECIPE_STYLE[config.dataset]
+    recipe = evaluation.RECIPES[config.dataset]
+    encoder = recipe.encoder(config, feats, train, enc_ss)
+    style, kind = recipe.style, recipe.similarity
     encoded = encoder.encode_batch(feats)
     full = np.concatenate([train, cal])
     protos_train = prototypes_from_encoded(encoded[train], labels[train], n_classes, style)
@@ -571,7 +625,7 @@ class TestStreamedRepetition:
         for per_class in (150, 600):
             cfg = ExperimentConfig(dataset="spike_surrogate", d=2048, repetitions=1, seed=5, spike_per_class=per_class)
             data_ss, split_ss, enc_ss, u_ss = evaluation._rep_seed_parts(cfg.seed, 0)
-            feats, labels, ood, _ = evaluation._rep_data(cfg, None, data_ss)
+            feats, labels, ood, _ = evaluation.RECIPES[cfg.dataset].generate(cfg, data_ss)
             tracemalloc.start()
             try:
                 evaluation._evaluate_repetition(
@@ -659,9 +713,11 @@ class TestBatchedMetrics:
 
 def _scores_bytes(config, bundle):
     """Bytes of one repetition's float64 scores over all kinds: the grading budget's unit."""
-    fixed = None if bundle is None else evaluation._holdout_partition(bundle, config.resolved_holdout())
     data_ss, split_ss, enc_ss, u_ss = evaluation._rep_seed_parts(config.seed, 0)
-    feats, labels, ood, _ = evaluation._rep_data(config, fixed, data_ss)
+    if bundle is None:
+        feats, labels, ood, _ = evaluation.RECIPES[config.dataset].generate(config, data_ss)
+    else:
+        feats, labels, ood, _ = evaluation._holdout_partition(bundle, config.resolved_holdout())
     rep = evaluation._evaluate_repetition(
         config, config.resolved_fractions(), feats, labels, ood, split_ss, enc_ss, u_ss
     )

@@ -415,6 +415,7 @@ RECIPES: Dict[str, Recipe] = {
         encoder=_quantized_encoder,
         ingest=lambda table: _datasets.ingest_isolet(table),
         path_keys=("isolet_path",), checked_keys=("isolet_path",),
+        echo=("levels",),
     ),
     "spike_surrogate": Recipe(
         (0.50, 0.40, 0.10), ("run",), "raw_complex", "complex_cosine",
@@ -422,6 +423,8 @@ RECIPES: Dict[str, Recipe] = {
             p=x.shape[1], d=config.d, t_max=x.shape[2], beta=config.beta, seed=seed
         ),
         generate=_spike_data,
+        echo=("beta", "spike_classes", "spike_neurons", "spike_bins", "spike_per_class", "spike_ood",
+              "spike_rate_scale"),
     ),
 }
 

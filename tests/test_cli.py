@@ -1,6 +1,7 @@
 """Command-line behavior: configuration, outputs, and determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conformal_hdc import evaluation
-from conformal_hdc.cli import CSV_COLUMNS, build_config, main, parse_config_file
+from conformal_hdc.cli import CSV_COLUMNS, build_config, config_hash, main, parse_config_file
 from conformal_hdc.datasets import DatasetBundle
 from conformal_hdc.encoders import IdentityEncoder
 
@@ -272,3 +273,62 @@ class TestRecipeFromTable:
         cfg.write_text(f"dataset = toy\ntoy_file = {toy}\ntoy_file_sha256 = {'0' * 64}\n")
         assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "checksum mismatch" in capsys.readouterr().err
+
+
+class _Reads:
+    """A configuration that records the names read through it."""
+
+    def __init__(self, config):
+        self._config, self.names = config, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self._config, name)
+
+
+def _small_run(dataset):
+    """A one-repetition configuration of ``dataset`` at toy size, and its bundle."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(6), 12)
+    if dataset == "mnist":
+        bundle = DatasetBundle(rng.integers(0, 2, size=(100, 9), dtype=np.uint8), np.arange(100) % 10,
+                               [str(c) for c in range(10)])
+        return dict(d=64), bundle
+    if dataset == "isolet":
+        bundle = DatasetBundle(rng.normal(size=(72, 5)) + labels[:, None], labels, list("ABCDEF"))
+        return dict(d=64, ood_holdout=("F",)), bundle
+    if dataset == "languages":
+        names = ["English", "Estonian", "Finnish", "German", "Hungarian", "Spanish"]
+        texts = np.array([f"{names[y].lower()} sample {i}" for i, y in enumerate(labels)], dtype=object)
+        return dict(d=64), DatasetBundle(texts, labels, names)
+    if dataset == "synthetic":
+        return dict(n_per_class=(10, 10, 10), n_ood=5), None
+    return dict(d=64, spike_per_class=20, spike_ood=5), None
+
+
+def _changed(value):
+    """Another valid value of a configuration field."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1 if isinstance(value, int) else value * 1.5
+    if isinstance(value[0], int):
+        return tuple(v + 1 for v in value)
+    return value[:1]  # score kinds
+
+
+@pytest.mark.parametrize("dataset", list(evaluation.RECIPES))
+def test_every_field_a_recipe_reads_changes_its_config_hash(dataset):
+    # Two spike runs that differed in spike_per_class and beta once shared a
+    # hash: results.json echoed neither, nor any other field only the spike
+    # and isolet recipes read.
+    overrides, bundle = _small_run(dataset)
+    # test folds large enough to hold every label, for the conditional run
+    config = evaluation.ExperimentConfig(dataset=dataset, repetitions=1, fractions=(0.4, 0.3, 0.3), **overrides)
+    reads = _Reads(config)
+    result = evaluation.run_experiment(reads, bundle)
+    read = reads.names & {f.name for f in dataclasses.fields(config)}
+    assert read <= set(result.config), read - set(result.config)
+    for name in sorted(read - {"dataset"}):
+        changed = dataclasses.replace(config, **{name: _changed(getattr(config, name))})
+        assert config_hash(evaluation.run_experiment(changed, bundle)) != config_hash(result), name

@@ -310,8 +310,10 @@ def _changed(value):
     """Another valid value of a configuration field."""
     if isinstance(value, bool):
         return not value
-    if isinstance(value, (int, float)):
-        return value + 1 if isinstance(value, int) else value * 1.5
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 1.5
     if isinstance(value[0], int):
         return tuple(v + 1 for v in value)
     return value[:1]  # score kinds
@@ -319,9 +321,8 @@ def _changed(value):
 
 @pytest.mark.parametrize("dataset", list(evaluation.RECIPES))
 def test_every_field_a_recipe_reads_changes_its_config_hash(dataset):
-    # Two spike runs that differed in spike_per_class and beta once shared a
-    # hash: results.json echoed neither, nor any other field only the spike
-    # and isolet recipes read.
+    # each results row must carry what replays it, so two runs that differ
+    # in any field the recipe reads must differ in their hash
     overrides, bundle = _small_run(dataset)
     # test folds large enough to hold every label, for the conditional run
     config = evaluation.ExperimentConfig(dataset=dataset, repetitions=1, fractions=(0.4, 0.3, 0.3), **overrides)

@@ -10,8 +10,7 @@ class conforms with.
 from .classifier import PROTOTYPE_STYLES, TrainedModel, train_prototypes
 from .conformal import (
     SCORE_KINDS,
-    ConditionalCalibrator,
-    MarginalCalibrator,
+    Calibrator,
     PredictionSet,
     calibrate_conditional,
     calibrate_marginal,

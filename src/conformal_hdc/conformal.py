@@ -14,11 +14,12 @@ conforms better:
   the largest down through the candidate's rank, subtract ``u`` times the
   candidate's probability, and negate.
 
-Calibration selects the ceil((1 - alpha) * (1 + n))-th smallest score on a
-holdout set, either globally (marginal coverage) or within each label
-stratum (label-conditional coverage). When the index exceeds the stratum
-size the threshold is +inf and every label is included, which preserves
-the coverage guarantee in tiny-calibration regimes.
+Calibration selects the ceil((1 - alpha) * (1 + n))-th smallest of a
+stratum's n scores on a holdout set: the whole set is one stratum for
+marginal coverage, and each label's share is one for label-conditional
+coverage. When the index exceeds the stratum size the threshold is +inf
+and every label is included, which preserves the coverage guarantee in
+tiny-calibration regimes.
 
 Prediction sets keep the labels whose score is at or below the governing
 threshold; the point-valued variant trims multi-label sets to the argmin
@@ -29,7 +30,6 @@ batch-of-one calls into the same code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -37,8 +37,7 @@ from .classifier import check_class_labels
 
 __all__ = [
     "SCORE_KINDS",
-    "ConditionalCalibrator",
-    "MarginalCalibrator",
+    "Calibrator",
     "PredictionSet",
     "calibrate_conditional",
     "calibrate_marginal",
@@ -158,8 +157,8 @@ def calibration_scores(
     return matrix[np.arange(matrix.shape[0]), labels]
 
 
-def quantile_index(n: int, alpha: float) -> int:
-    """1-based order statistic ceil((1 - alpha) * (1 + n)).
+def quantile_index(n, alpha: float):
+    """1-based order statistic ceil((1 - alpha) * (1 + n)), for an int or an array of counts.
 
     The product is snapped to the nearest integer when it sits within
     floating-point noise of one, so decimal alphas like 0.1 select the
@@ -168,91 +167,90 @@ def quantile_index(n: int, alpha: float) -> int:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    n = np.asarray(n, dtype=np.int64)
     target = (1.0 - alpha) * (n + 1)
-    nearest = round(target)
-    if nearest >= 1 and abs(target - nearest) <= 1e-9 * (n + 1):
-        return int(nearest)
-    return int(math.ceil(target))
+    nearest = np.round(target)
+    snap = (nearest >= 1) & (np.abs(target - nearest) <= 1e-9 * (n + 1))
+    k = np.where(snap, nearest, np.ceil(target)).astype(np.int64)
+    return int(k) if k.ndim == 0 else k
 
 
 @dataclass(frozen=True)
-class MarginalCalibrator:
-    """Single empirical-quantile threshold shared by all labels."""
+class Calibrator:
+    """Empirical-quantile thresholds ``q_hat``: (...) shared by all labels, or (..., K) ``per_label``.
 
-    q_hat: float
-    alpha: float
-    n_cal: int
+    Leading axes index separate calibrations, so one shared threshold is
+    0-d. ``counts`` holds the calibration scores behind each threshold.
+    """
 
-    def thresholds(self, n_classes: int) -> np.ndarray:
-        return np.full(n_classes, self.q_hat)
-
-
-@dataclass(frozen=True)
-class ConditionalCalibrator:
-    """One empirical-quantile threshold per label stratum."""
-
-    q_hat_per_label: np.ndarray
+    q_hat: np.ndarray
     alpha: float
     counts: np.ndarray
+    per_label: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "q_hat_per_label", np.asarray(self.q_hat_per_label, dtype=np.float64)
-        )
+        object.__setattr__(self, "q_hat", np.asarray(self.q_hat, dtype=np.float64))
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
 
     def thresholds(self, n_classes: int) -> np.ndarray:
-        if n_classes != self.q_hat_per_label.shape[0]:
+        """(..., K) thresholds: the shared one repeated for every label, or the per-label ones."""
+        if not self.per_label:
+            return np.full(self.q_hat.shape + (n_classes,), self.q_hat[..., None])
+        if n_classes != self.q_hat.shape[-1]:
             raise ValueError("calibrator was built for a different class count")
-        return self.q_hat_per_label
-
-
-def _select_kth_smallest(scores: np.ndarray, k: int) -> float:
-    if k > scores.shape[0]:
-        return float("inf")
-    return float(np.partition(scores, k - 1)[k - 1])
+        return self.q_hat
 
 
 def _finite_scores(cal_scores) -> np.ndarray:
     # a NaN would sort past every score and shift the order statistic
-    scores = np.asarray(cal_scores, dtype=np.float64).reshape(-1)
+    scores = np.atleast_1d(np.asarray(cal_scores, dtype=np.float64))
     if not np.isfinite(scores).all():
         raise ValueError("calibration scores contain NaN or infinite values")
     return scores
 
 
-def calibrate_marginal(cal_scores, alpha: float) -> MarginalCalibrator:
-    """Threshold at the ceil((1-alpha)(1+n))-th smallest calibration score.
+def _calibrate(scores: np.ndarray, counts: np.ndarray, alpha: float, per_label: bool) -> Calibrator:
+    """Threshold each row of ``scores`` (..., n) at its quantile_index(count, alpha)-th smallest.
 
+    A row holds its stratum's ``counts`` (...) scores and +inf elsewhere.
+    One more +inf past its end makes an index past the count give +inf.
+    """
+    k = np.asarray(quantile_index(counts, alpha))
+    padded = np.concatenate([scores, np.full(scores.shape[:-1] + (1,), np.inf)], axis=-1)
+    ordered = np.sort(padded, axis=-1)
+    q_hat = np.take_along_axis(ordered, k[..., None] - 1, axis=-1)[..., 0]
+    return Calibrator(q_hat=q_hat, alpha=alpha, counts=counts, per_label=per_label)
+
+
+def calibrate_marginal(cal_scores, alpha: float) -> Calibrator:
+    """Threshold at the ceil((1-alpha)(1+n))-th smallest of n calibration scores.
+
+    ``cal_scores`` is (n,), or (..., n) for one calibration per row.
     Duplicate scores count with multiplicity; when the index exceeds ``n``
     the threshold is +inf (every label will be included).
     """
     scores = _finite_scores(cal_scores)
-    if scores.shape[0] == 0:
+    if scores.shape[-1] == 0:
         raise ValueError("calibration set must be nonempty")
-    k = quantile_index(scores.shape[0], alpha)
-    return MarginalCalibrator(q_hat=_select_kth_smallest(scores, k), alpha=alpha, n_cal=scores.shape[0])
+    return _calibrate(scores, np.full(scores.shape[:-1], scores.shape[-1]), alpha, per_label=False)
 
 
-def calibrate_conditional(cal_scores, cal_labels, alpha: float, n_classes: int) -> ConditionalCalibrator:
+def calibrate_conditional(cal_scores, cal_labels, alpha: float, n_classes: int) -> Calibrator:
     """Marginal calibration applied within each label stratum.
 
-    Labels absent from the calibration set get a +inf threshold.
+    Scores and labels are (n,), or (..., n) for one calibration per row;
+    the thresholds are (..., K). Labels absent from the calibration set get
+    a +inf threshold.
     """
     scores = _finite_scores(cal_scores)
-    labels = check_class_labels(cal_labels, n_classes)
-    if scores.shape[0] != labels.shape[0]:
+    labels = np.asarray(cal_labels)
+    labels = check_class_labels(labels, n_classes).reshape(labels.shape)
+    if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    thresholds = np.full(n_classes, np.inf)
-    counts = np.zeros(n_classes, dtype=np.int64)
-    for y in range(n_classes):
-        stratum = scores[labels == y]
-        counts[y] = stratum.shape[0]
-        if stratum.shape[0] > 0:
-            thresholds[y] = _select_kth_smallest(stratum, quantile_index(stratum.shape[0], alpha))
-    return ConditionalCalibrator(q_hat_per_label=thresholds, alpha=alpha, counts=counts)
+    # (..., K, n): each label's row keeps its stratum's scores and masks the rest
+    member = labels[..., None, :] == np.arange(n_classes)[:, None]
+    strata = np.where(member, scores[..., None, :], np.inf)
+    return _calibrate(strata, member.sum(axis=-1), alpha, per_label=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,20 +336,22 @@ def predict_sets(
     return sets_from_scores(scores, calibrator.thresholds(scores.shape[1])), scores
 
 
-def _draw(u: float | None):
-    """One input's uniform draw as the array of one that the batch code takes."""
-    return None if u is None else np.array([u], dtype=np.float64)
+def _score_one(model, x, kind: str, lam: float, temperature: float, u) -> np.ndarray:
+    """(1, K) scores of one input, profiled and scored as a batch of one."""
+    profiles = model.similarity_profiles(model._as_batch(x))
+    u = None if u is None else np.array([u], dtype=np.float64)
+    return score_matrix(profiles, kind, lam=lam, temperature=temperature, u=u)
 
 
 def _predict_one(model, calibrator, x, kind: str, lam: float, temperature: float, u):
-    """:func:`predict_sets` on ``x`` as a batch of one: its (1, K) inclusion and scores."""
-    X = model._as_batch(x)
-    return predict_sets(model, calibrator, X, kind, lam=lam, temperature=temperature, u=_draw(u))
+    """One input's (1, K) inclusion and scores, as :func:`predict_sets` gives a batch's."""
+    scores = _score_one(model, x, kind, lam, temperature, u)
+    return sets_from_scores(scores, calibrator.thresholds(scores.shape[1])), scores
 
 
 def predict_set_marginal(
     model,
-    calibrator: MarginalCalibrator,
+    calibrator: Calibrator,
     x,
     kind: str,
     *,
@@ -366,7 +366,7 @@ def predict_set_marginal(
 
 def predict_set_conditional(
     model,
-    calibrator: ConditionalCalibrator,
+    calibrator: Calibrator,
     x,
     kind: str,
     *,
@@ -422,5 +422,4 @@ def ood_score(
     u: float | None = None,
 ) -> float:
     """Anomaly statistic for one input: min over labels of its score."""
-    profile = model.similarity_profile(x)
-    return float(ood_scores(score_matrix(profile, kind, lam=lam, temperature=temperature, u=_draw(u)))[0])
+    return float(ood_scores(_score_one(model, x, kind, lam, temperature, u))[0])

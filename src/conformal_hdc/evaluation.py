@@ -429,12 +429,14 @@ RECIPES: Dict[str, Recipe] = {
 }
 
 
-def _aggregate(values: List[float]) -> Tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(arr)
-    if arr.size == 0 or not finite.any():
+#: the metrics graded for every method, each aggregated to a mean (and SE)
+_METRICS = ("coverage", "size", "accuracy", "auc", "minscore_auc", "empty_rate", "ood_empty_rate")
+
+
+def _aggregate(values: np.ndarray) -> Tuple[float, float]:
+    kept = values[np.isfinite(values)]
+    if kept.size == 0:
         return float("nan"), 0.0
-    kept = arr[finite]
     se = float(kept.std(ddof=1) / np.sqrt(kept.size)) if kept.size > 1 else 0.0
     return float(kept.mean()), se
 
@@ -482,7 +484,7 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
     repetitions: a synthetic run's tracemalloc peak is about 1.6 MB. A
     synthetic repetition takes about 1.45 ms on one core of a 2-core host,
     against 1.75 ms graded alone. Each repetition keeps its own draws and
-    calibrators, so its metrics do not depend on its group. They feed mean
+    thresholds, so its metrics do not depend on its group. They feed mean
     and standard-error aggregates per method (the baseline plus one row
     per requested score kind).
     """
@@ -497,14 +499,12 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
         fixed = _holdout_partition(bundle, config.resolved_holdout())
 
     methods = [METHOD_HDC] + list(config.score_kinds)
-    per_rep: Dict[str, List[dict]] = {m: [] for m in methods}
+    graded: List[Dict[str, np.ndarray]] = []
     label_names: List[str] = []
     group: List[_Profiles] = []
 
     def grade() -> None:
-        for rep_metrics in _evaluate_group(config, group):
-            for m in methods:
-                per_rep[m].append(rep_metrics[m])
+        graded.append(_evaluate_group(config, group))
         group.clear()
 
     for rep in range(config.repetitions):
@@ -519,26 +519,31 @@ def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
     if group:
         grade()
 
+    # each metric as (methods, repetitions), the repetitions in run order
+    metrics = {key: np.concatenate([g[key] for g in graded], axis=1) for key in graded[0]}
     rows = []
-    for m in methods:
-        reps = per_rep[m]
+    for i, m in enumerate(methods):
         fields = {}
         for key in ("coverage", "size", "accuracy", "auc"):
-            fields[key], fields[key + "_se"] = _aggregate([r[key] for r in reps])
+            fields[key], fields[key + "_se"] = _aggregate(metrics[key][i])
         for key in ("minscore_auc", "empty_rate", "ood_empty_rate"):
-            fields[key] = _aggregate([r[key] for r in reps])[0]
-        if config.conditional and reps and reps[0]["label_coverage"] is not None:
-            stacked = np.vstack([r["label_coverage"] for r in reps])
-            counts = np.isfinite(stacked).sum(axis=0)
-            # as in _aggregate: a label with fewer than two finite values has SE 0
+            fields[key] = _aggregate(metrics[key][i])[0]
+        if config.conditional and m != METHOD_HDC:
+            stacked = metrics["label_coverage"][i]
+            finite = np.isfinite(stacked)
+            counts = finite.sum(axis=0)
+            # as in _aggregate: a label with fewer than two finite values has SE 0,
+            # and one with none (absent from every test fold) has a NaN mean
             spread = counts > 1
             label_se = np.zeros(stacked.shape[1])
             if spread.any():
                 label_se[spread] = np.nanstd(stacked[:, spread], ddof=1, axis=0) / np.sqrt(counts[spread])
+            label_mean = np.full(stacked.shape[1], np.nan)
+            np.divide(np.where(finite, stacked, 0.0).sum(axis=0), counts, out=label_mean, where=counts > 0)
             fields.update(
-                label_coverage=np.nanmean(stacked, axis=0),
+                label_coverage=label_mean,
                 label_coverage_se=label_se,
-                label_upper_slack=np.vstack([r["label_upper_slack"] for r in reps]).mean(axis=0),
+                label_upper_slack=metrics["label_upper_slack"][i].mean(axis=0),
             )
         rows.append(MethodMetrics(method=m, **fields))
 
@@ -597,18 +602,18 @@ def _evaluate_repetition(
     return _Profiles(**prof, y_cal=labels[cal_idx], y_test=labels[test_idx], u_ss=u_ss)
 
 
-def _evaluate_group(config: ExperimentConfig, group: List[_Profiles]) -> List[Dict[str, dict]]:
-    """Metrics per method for each repetition of ``group``, graded in one pass.
+def _evaluate_group(config: ExperimentConfig, group: List[_Profiles]) -> Dict[str, np.ndarray]:
+    """Each metric as a (methods, G) array for the G repetitions of ``group``, graded in one pass.
 
     The repetitions of a run share their fold sizes and class count K, so
-    their profiles, labels and uniform draws stack on a leading axis of
-    length G. Each score kind scores the G repetitions' calibration, test
-    and OOD rows in one ``score_matrix`` call, gets one calibrator per
-    repetition, and keeps only its test and OOD rows' scores. The (kinds,
-    G, n, K) scores and (kinds, G, K) thresholds then go through sets,
-    point labels, coverage, size, accuracy, empty rates and both AUCs in
-    one call each. Every step works row by row, so each repetition's
-    metrics equal those of grading it alone, bit for bit.
+    their profiles, labels and uniform draws stack on a leading axis. Each
+    score kind scores the G repetitions' rows in one ``score_matrix`` call
+    and calibrates them in one ``calibrate_*`` call. The (kinds, G, n, K)
+    scores and (kinds, G, K) thresholds then go through sets, point
+    labels, coverage, size, accuracy, empty rates and both AUCs in one
+    call each. Every step works row by row, so each repetition's metrics
+    equal those of grading it alone, bit for bit. Row 0 is the baseline's;
+    per-label metrics are (methods, G, K).
     """
     G = len(group)
     first = group[0]
@@ -618,95 +623,68 @@ def _evaluate_group(config: ExperimentConfig, group: List[_Profiles]) -> List[Di
     # the group's labels, checked once before they index any scores
     y_cal = check_class_labels(np.stack([r.y_cal for r in group]), n_classes).reshape(G, n_cal)
     y_test = check_class_labels(np.stack([r.y_test for r in group]), n_classes).reshape(G, n_test)
-    # point labels on a methods axis: first the baseline's top-1 prediction
-    # from prototypes built on train + calibration, then one row per kind
-    picks = [np.argmax(np.stack([r.full_test for r in group]), axis=-1)[None]]
+    # the baseline's top-1 prediction from prototypes built on train + calibration
+    baseline = np.argmax(np.stack([r.full_test for r in group]), axis=-1)
+    baseline_acc = point_accuracy(baseline, y_test)
 
     kinds = config.score_kinds
-    calibrators: List[list] = []
-    label_coverage = None
-    if kinds:
-        n = n_cal + n_test + n_ood
-        rows = np.empty((G, n, n_classes))
-        for r, block in zip(group, rows):
-            np.concatenate([p for p in (r.cal, r.test, r.ood) if p is not None], out=block)
-        rows = rows.reshape(G * n, n_classes)
-        # one draw per row, the same numbers as drawing u_cal, u_test, u_ood in turn
-        u = np.concatenate([np.random.default_rng(r.u_ss).uniform(size=n) for r in group])
-        kw = dict(lam=config.lam, temperature=config.temperature, u=u)
-        kept = np.empty((len(kinds), G, n - n_cal, n_classes))
-        for i, kind in enumerate(kinds):
-            scores = score_matrix(rows, kind, **kw).reshape(G, n, n_classes)
-            cal_scores = np.take_along_axis(scores[:, :n_cal], y_cal[..., None], axis=-1)[..., 0]
-            if config.conditional:
-                calibrators.append(
-                    [calibrate_conditional(c, y, config.alpha, n_classes) for c, y in zip(cal_scores, y_cal)]
-                )
-            else:
-                calibrators.append([calibrate_marginal(c, config.alpha) for c in cal_scores])
-            kept[i] = scores[:, n_cal:]
-            del scores  # before the next kind is scored
-        del rows, u
-        thresholds = np.array([[c.thresholds(n_classes) for c in reps] for reps in calibrators])
+    n_methods = 1 + len(kinds)
+    metrics = {key: np.full((n_methods, G), np.nan) for key in _METRICS}
+    metrics["coverage"][0] = metrics["accuracy"][0] = baseline_acc
+    metrics["size"][0], metrics["empty_rate"][0] = 1.0, 0.0
+    for key in ("label_coverage", "label_upper_slack") if config.conditional else ():
+        metrics[key] = np.full((n_methods, G, n_classes), np.nan)
+    if not kinds:
+        return metrics
 
-        test_scores = kept[:, :, :n_test]
-        include = sets_from_scores(test_scores, thresholds)
-        test_abstain = ~include.any(axis=-1)
-        picks.append(point_labels_from_sets(include, test_scores, allow_empty=False))
-        nan = np.full((len(kinds), G), np.nan)
-        metrics = {
-            "coverage": empirical_coverage(include, y_test),
-            "size": average_set_size(include),
-            "empty_rate": test_abstain.mean(axis=-1),
-            "auc": nan,
-            "minscore_auc": nan,
-            "ood_empty_rate": nan,
-        }
-        if n_ood > 0:
-            ood_mat = kept[:, :, n_test:]
-            ood_abstain = ~sets_from_scores(ood_mat, thresholds).any(axis=-1)
-            minscores = ood_scores(test_scores), ood_scores(ood_mat)
-            del test_scores, ood_mat, kept  # before the AUCs' rank arrays
-            # The reported AUC ranks inputs by whether the method abstains on
-            # them at this alpha; the raw min-score statistic is kept alongside
-            # for diagnostics.
-            metrics.update(
-                auc=ood_auc(test_abstain.astype(np.float64), ood_abstain.astype(np.float64)),
-                minscore_auc=ood_auc(*minscores),
-                ood_empty_rate=ood_abstain.mean(axis=-1),
-            )
-
+    n = n_cal + n_test + n_ood
+    rows = np.empty((G, n, n_classes))
+    for r, block in zip(group, rows):
+        np.concatenate([p for p in (r.cal, r.test, r.ood) if p is not None], out=block)
+    rows = rows.reshape(G * n, n_classes)
+    # one draw per row, the same numbers as drawing u_cal, u_test, u_ood in turn
+    u = np.concatenate([np.random.default_rng(r.u_ss).uniform(size=n) for r in group])
+    kw = dict(lam=config.lam, temperature=config.temperature, u=u)
+    kept = np.empty((len(kinds), G, n - n_cal, n_classes))
+    thresholds = np.empty((len(kinds), G, n_classes))
+    for i, kind in enumerate(kinds):
+        scores = score_matrix(rows, kind, **kw).reshape(G, n, n_classes)
+        cal_scores = np.take_along_axis(scores[:, :n_cal], y_cal[..., None], axis=-1)[..., 0]
         if config.conditional:
-            # hits per label as exact integer counts, then each label's share
-            is_label = y_test[..., None] == np.arange(n_classes)
-            per_label = is_label.sum(axis=-2)
-            hits = np.take_along_axis(include, y_test[None, ..., None], axis=-1)
-            label_hits = (hits & is_label).sum(axis=-2)
-            label_coverage = np.where(per_label > 0, label_hits / np.maximum(per_label, 1), np.nan)
-    accuracy = point_accuracy(np.concatenate(picks), y_test)
+            calibrator = calibrate_conditional(cal_scores, y_cal, config.alpha, n_classes)
+            metrics["label_upper_slack"][1 + i] = 1.0 / (1.0 + calibrator.counts.astype(np.float64))
+        else:
+            calibrator = calibrate_marginal(cal_scores, config.alpha)
+        thresholds[i] = calibrator.thresholds(n_classes)
+        kept[i] = scores[:, n_cal:]
+        del scores  # before the next kind is scored
+    del rows, u
 
-    out = []
-    for g in range(G):
-        baseline_acc = float(accuracy[0, g])
-        rep = {
-            METHOD_HDC: {
-                "coverage": baseline_acc,
-                "size": 1.0,
-                "accuracy": baseline_acc,
-                "auc": float("nan"),
-                "minscore_auc": float("nan"),
-                "empty_rate": 0.0,
-                "ood_empty_rate": float("nan"),
-                "label_coverage": None,
-                "label_upper_slack": None,
-            }
-        }
-        for i, kind in enumerate(kinds):
-            rep[kind] = {key: float(values[i, g]) for key, values in metrics.items()}
-            rep[kind]["accuracy"] = float(accuracy[1 + i, g])
-            rep[kind]["label_coverage"] = rep[kind]["label_upper_slack"] = None
-            if config.conditional:
-                rep[kind]["label_coverage"] = label_coverage[i, g]
-                rep[kind]["label_upper_slack"] = 1.0 / (1.0 + calibrators[i][g].counts.astype(np.float64))
-        out.append(rep)
-    return out
+    test_scores = kept[:, :, :n_test]
+    include = sets_from_scores(test_scores, thresholds)
+    test_abstain = ~include.any(axis=-1)
+    picks = point_labels_from_sets(include, test_scores, allow_empty=False)
+    metrics["coverage"][1:] = empirical_coverage(include, y_test)
+    metrics["size"][1:] = average_set_size(include)
+    metrics["empty_rate"][1:] = test_abstain.mean(axis=-1)
+    metrics["accuracy"][1:] = point_accuracy(picks, y_test)
+    if n_ood > 0:
+        ood_mat = kept[:, :, n_test:]
+        ood_abstain = ~sets_from_scores(ood_mat, thresholds).any(axis=-1)
+        minscores = ood_scores(test_scores), ood_scores(ood_mat)
+        del test_scores, ood_mat, kept  # before the AUCs' rank arrays
+        # The reported AUC ranks inputs by whether the method abstains on
+        # them at this alpha; the raw min-score statistic is kept alongside
+        # for diagnostics.
+        metrics["auc"][1:] = ood_auc(test_abstain.astype(np.float64), ood_abstain.astype(np.float64))
+        metrics["minscore_auc"][1:] = ood_auc(*minscores)
+        metrics["ood_empty_rate"][1:] = ood_abstain.mean(axis=-1)
+
+    if config.conditional:
+        # hits per label as exact integer counts, then each label's share
+        is_label = y_test[..., None] == np.arange(n_classes)
+        per_label = is_label.sum(axis=-2)
+        hits = np.take_along_axis(include, y_test[None, ..., None], axis=-1)
+        label_hits = (hits & is_label).sum(axis=-2)
+        metrics["label_coverage"][1:] = np.where(per_label > 0, label_hits / np.maximum(per_label, 1), np.nan)
+    return metrics

@@ -13,7 +13,7 @@ binarized back to bipolar form with a sign function (ties at zero map to
 are kept as unnormalized complex arrays.
 
 All similarity metrics are standardized to be nonnegative so downstream
-scoring can treat them as evidence: cosine and Hamming map into [0, 1],
+scoring can treat them as evidence: the cosine maps into [0, 1],
 the inverse Euclidean map is capped at ``1/EPS``, and the complex cosine
 of unit-modulus vectors lands in [0, 1] by construction.
 
@@ -55,7 +55,6 @@ INVERSE_EUCLIDEAN_CAP = 1.0 / EPS
 SIMILARITY_KINDS = (
     "cosine_normalized",
     "inverse_euclidean",
-    "hamming_similarity",
     "complex_cosine",
 )
 
@@ -260,19 +259,18 @@ def similarity_matrix(
     returns an (n, K) float64 matrix. ``cosine_normalized`` maps the raw
     cosine linearly onto [0, 1] (a zero row scores 0.5);
     ``inverse_euclidean`` is 1/(L2 distance + EPS) capped at 1/EPS;
-    ``hamming_similarity`` is 1 - (mismatch count)/d; ``complex_cosine`` is
-    (Re[q^T conj(p)]/d + 1)/2, floored at 0 for unnormalized sums. Real
-    kinds take real arrays and ``complex_cosine`` complex ones; any other
-    pairing raises TypeError. NaN or infinite inputs raise ValueError
-    rather than give a finite profile; the check reads the per-row sums of
-    squares or the (n, K) complex cosines.
+    ``complex_cosine`` is (Re[q^T conj(p)]/d + 1)/2, floored at 0 for
+    unnormalized sums. Real kinds take real arrays and ``complex_cosine``
+    complex ones; any other pairing raises TypeError. NaN or infinite
+    inputs raise ValueError rather than give a finite profile; the check
+    reads the per-row sums of squares or the (n, K) complex cosines.
 
     ``prototype_sq_norms``, keyword-only, is the (K,) float64 per-row sums of
     squares of the prototypes, as ``np.einsum("ij,ij->i", p, p)`` gives them
     for ``p`` the prototypes cast to float64. A caller that scores many
     batches against the same prototypes passes them to skip that pass; the
     result is the same bit for bit. ``cosine_normalized`` and
-    ``inverse_euclidean`` read them; the other kinds ignore them. None, the
+    ``inverse_euclidean`` read them; ``complex_cosine`` ignores them. None, the
     default, computes them here.
     """
     if kind not in SIMILARITY_KINDS:
@@ -293,14 +291,6 @@ def similarity_matrix(
         re = np.real(q @ np.conj(p).T) / q.shape[1]
         _require_finite(re)
         return np.maximum((re + 1.0) / 2.0, 0.0)
-
-    if kind == "hamming_similarity":
-        _require_finite(q, p)
-        # one prototype at a time: an (n, d) mask, not an (n, K, d) one
-        mismatches = np.empty((q.shape[0], p.shape[0]), dtype=np.int64)
-        for k, row in enumerate(p):
-            mismatches[:, k] = np.count_nonzero(q != row, axis=1)
-        return 1.0 - mismatches / q.shape[1]
 
     qf = q.astype(np.float64, copy=False)
     pf = p.astype(np.float64, copy=False)

@@ -5,8 +5,10 @@ grid arrays, and a JSON metadata record (encoder type, parameters, seeds,
 similarity kind, style, label names). Reloading rebuilds the encoder from
 its seeds, so a restored model reproduces the original bit for bit.
 
-Calibrators save to JSON (thresholds, alpha, per-label counts, plus any
-caller-supplied metadata such as the score kind and randomization seed).
+A calibrator saves to JSON: its thresholds (one shared, or one per
+label), counts and alpha, plus any caller-supplied metadata such as the
+score kind and randomization seed. One holding several calibrations
+(leading axes) is not saved.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import TrainedModel
-from .conformal import ConditionalCalibrator, MarginalCalibrator
+from .conformal import Calibrator
 from .encoders import (
     BinaryImageEncoder,
     IdentityEncoder,
@@ -111,49 +113,38 @@ def load_model(path) -> TrainedModel:
             raise ValueError(f"{path}: not a conformal-hdc model file")
         encoder = _rebuild_encoder(meta["encoder"], data)
         prototypes = data["prototypes"]
+        kind = meta["similarity_kind"]
+        if kind == "hamming_similarity" and prototypes.dtype == np.int8 and np.isin(prototypes, (-1, 1)).all():
+            kind = "cosine_normalized"  # equal on bipolar codes: 1 - mismatches/d = (cos + 1)/2
         return TrainedModel(
             encoder=encoder,
             prototypes=prototypes,
-            similarity_kind=meta["similarity_kind"],
+            similarity_kind=kind,
             style=meta["style"],
             labels=np.asarray(meta["labels"]),
         )
 
 
-def save_calibrator(calibrator, path, metadata: dict | None = None) -> None:
-    if isinstance(calibrator, MarginalCalibrator):
-        record = {
-            "format": "conformal-hdc-calibrator/1",
-            "type": "marginal",
-            "q_hat": calibrator.q_hat,
-            "alpha": calibrator.alpha,
-            "n_cal": calibrator.n_cal,
-        }
-    elif isinstance(calibrator, ConditionalCalibrator):
-        record = {
-            "format": "conformal-hdc-calibrator/1",
-            "type": "conditional",
-            "q_hat_per_label": calibrator.q_hat_per_label.tolist(),
-            "alpha": calibrator.alpha,
-            "counts": calibrator.counts.tolist(),
-        }
-    else:
-        raise TypeError(f"cannot serialize calibrator of type {type(calibrator).__name__}")
+#: JSON keys of the thresholds and counts, for a shared and a per-label calibrator
+_CALIBRATOR_KEYS = {"marginal": ("q_hat", "n_cal"), "conditional": ("q_hat_per_label", "counts")}
+
+
+def save_calibrator(calibrator: Calibrator, path, metadata: dict | None = None) -> None:
+    if calibrator.q_hat.ndim != int(calibrator.per_label):
+        raise ValueError(f"can save one calibration only, got thresholds of shape {calibrator.q_hat.shape}")
+    kind = "conditional" if calibrator.per_label else "marginal"
+    thresholds, counts = _CALIBRATOR_KEYS[kind]
+    record = {"format": "conformal-hdc-calibrator/1", "type": kind, "alpha": calibrator.alpha,
+              thresholds: calibrator.q_hat.tolist(), counts: calibrator.counts.tolist()}
     if metadata:
         record["metadata"] = metadata
     Path(path).write_text(json.dumps(record, indent=2, sort_keys=True))
 
 
-def load_calibrator(path):
+def load_calibrator(path) -> Calibrator:
     record = json.loads(Path(path).read_text())
     if record.get("format") != "conformal-hdc-calibrator/1":
         raise ValueError(f"{path}: not a conformal-hdc calibrator file")
-    if record["type"] == "marginal":
-        return MarginalCalibrator(
-            q_hat=record["q_hat"], alpha=record["alpha"], n_cal=record["n_cal"]
-        )
-    return ConditionalCalibrator(
-        q_hat_per_label=np.asarray(record["q_hat_per_label"], dtype=np.float64),
-        alpha=record["alpha"],
-        counts=np.asarray(record["counts"], dtype=np.int64),
-    )
+    thresholds, counts = _CALIBRATOR_KEYS[record["type"]]
+    per_label = record["type"] == "conditional"
+    return Calibrator(record[thresholds], record["alpha"], record[counts], per_label=per_label)

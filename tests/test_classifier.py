@@ -252,7 +252,7 @@ class TestModelSurface:
         # real kinds used to drop the imaginary parts with only a ComplexWarning
         X = np.random.default_rng(7).poisson(2.0, size=(6, 3, 2)).astype(np.float64)
         enc = TemporalFpeEncoder(p=3, d=32, t_max=2, seed=1)
-        for kind in ("cosine_normalized", "inverse_euclidean", "hamming_similarity"):
+        for kind in ("cosine_normalized", "inverse_euclidean"):
             with pytest.raises(ValueError, match="does not fit complex codes"):
                 train_prototypes(X, [0, 1, 2] * 2, enc, "raw_complex", kind)
             # rejected before encoding: rows the encoder would refuse are never read
@@ -296,7 +296,7 @@ _PAIRINGS = [
     ]
     for style in styles
     for kind in (["complex_cosine"] if representation == "complex" else
-                 ["cosine_normalized", "inverse_euclidean", "hamming_similarity"])
+                 ["cosine_normalized", "inverse_euclidean"])
 ]
 
 

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from conformal_hdc.classifier import train_prototypes
 from conformal_hdc.conformal import (
     SCORE_KINDS,
-    ConditionalCalibrator,
-    MarginalCalibrator,
+    Calibrator,
     calibrate_conditional,
     calibrate_marginal,
     calibration_scores,
@@ -72,7 +71,7 @@ class TestScores:
     def test_all_zero_profile_scores_zero_for_ratio_kinds(self):
         # 0 is the supremum of both scores, so the row abstains under any
         # threshold below it, and rows with a nonzero sum keep their scores
-        calib = MarginalCalibrator(q_hat=-0.05, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-0.05, alpha=0.1, counts=10)
         for kind in ("ratio", "discount"):
             scores = score_matrix(np.array([[0.0, 0.0, 0.0], PROFILE]), kind)
             assert scores[0].tolist() == [0.0, 0.0, 0.0]
@@ -151,6 +150,14 @@ class TestQuantileIndex:
         assert quantile_index(n, alpha) == want
 
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.2, 0.3, 1 - 1e-11, 1e-9])
+    def test_array_of_counts_matches_each_count(self, alpha):
+        n = np.arange(0, 3000)
+        got = quantile_index(n, alpha)
+        assert got.dtype == np.int64 and got.shape == n.shape
+        assert got.tolist() == [quantile_index(int(c), alpha) for c in n]
+        assert type(quantile_index(7, alpha)) is int
+
     def test_alpha_near_one_never_snaps_below_the_first_order_statistic(self):
         # (1 - alpha)(n + 1) within 1e-9 (n + 1) of 0 used to snap to index
         # 0, which makes the largest score the threshold
@@ -203,6 +210,38 @@ class TestCalibration:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             calibrate_marginal([], 0.1)
+        with pytest.raises(ValueError, match="nonempty"):
+            calibrate_marginal(np.zeros((3, 0)), 0.1)
+
+    def test_single_marginal_threshold_is_zero_dimensional(self):
+        calib = calibrate_marginal([0.4, 0.1, 0.3, 0.2], 0.25)
+        assert calib.q_hat.shape == calib.counts.shape == () and not calib.per_label
+        assert calib.q_hat == 0.4 and calib.counts == 4
+        assert calib.thresholds(3).tolist() == [0.4, 0.4, 0.4]
+
+    def test_two_dimensional_scores_are_calibrated_row_by_row(self):
+        # rows are separate calibration sets, not one flattened set
+        scores = np.array([[0.1, 0.2, 0.3, 0.4], [1.0, 3.0, 2.0, 4.0]])
+        calib = calibrate_marginal(scores, 0.4)
+        assert calib.q_hat.tolist() == [0.3, 3.0] and calib.counts.tolist() == [4, 4]
+        assert calib.thresholds(2).tolist() == [[0.3, 0.3], [3.0, 3.0]]
+
+    def test_conditional_with_leading_axes(self):
+        scores = np.array([[0.1, 0.2, 0.3, 0.4], [1.0, 3.0, 2.0, 4.0]])
+        labels = np.array([[0, 0, 1, 1], [1, 1, 1, 0]])
+        calib = calibrate_conditional(scores, labels, 0.5, 3)
+        assert calib.per_label and calib.q_hat.shape == calib.counts.shape == (2, 3)
+        assert calib.counts.tolist() == [[2, 2, 0], [1, 3, 0]]
+        # index ceil(0.5 * 2) = 1 of one score, ceil(0.5 * 3) = 2 of two and
+        # ceil(0.5 * 4) = 2 of three; an absent label gets +inf
+        assert calib.q_hat.tolist() == [[0.2, 0.4, np.inf], [4.0, 2.0, np.inf]]
+        assert calib.thresholds(3) is calib.q_hat
+        with pytest.raises(ValueError, match="class count"):
+            calib.thresholds(4)
+
+    def test_conditional_labels_must_match_the_scores_shape(self):
+        with pytest.raises(ValueError, match="equal length"):
+            calibrate_conditional(np.zeros((2, 4)), [0, 1, 0, 1], 0.1, 2)
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
@@ -212,26 +251,26 @@ class TestCalibration:
         scores = [0.4, 0.1, 0.3, 0.2]
         cond = calibrate_conditional(scores, [0, 0, 0, 0], 0.25, n_classes=1)
         marg = calibrate_marginal(scores, 0.25)
-        assert cond.q_hat_per_label[0] == pytest.approx(marg.q_hat)
+        assert cond.q_hat[0] == pytest.approx(marg.q_hat)
 
     def test_conditional_small_strata_are_infinite(self):
         cond = calibrate_conditional(
             [0.1, 0.2, 0.5, 0.6], [0, 0, 1, 1], alpha=0.3, n_classes=2
         )
-        assert np.all(np.isinf(cond.q_hat_per_label))
+        assert np.all(np.isinf(cond.q_hat))
 
     def test_conditional_nine_per_stratum_takes_maximum(self):
         rng = np.random.default_rng(1)
         scores = rng.uniform(size=18)
         labels = np.array([0] * 9 + [1] * 9)
         cond = calibrate_conditional(scores, labels, alpha=0.1, n_classes=2)
-        assert cond.q_hat_per_label[0] == pytest.approx(scores[:9].max())
-        assert cond.q_hat_per_label[1] == pytest.approx(scores[9:].max())
+        assert cond.q_hat[0] == pytest.approx(scores[:9].max())
+        assert cond.q_hat[1] == pytest.approx(scores[9:].max())
 
     def test_absent_label_gets_infinite_threshold(self):
         cond = calibrate_conditional([0.1] * 9, [0] * 9, alpha=0.5, n_classes=3)
-        assert np.isinf(cond.q_hat_per_label[1])
-        assert np.isinf(cond.q_hat_per_label[2])
+        assert np.isinf(cond.q_hat[1])
+        assert np.isinf(cond.q_hat[2])
         assert cond.counts.tolist() == [9, 0, 0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -285,39 +324,39 @@ class _ProfileModel:
 class TestPredictionSets:
     def test_infinite_threshold_gives_full_label_set(self):
         model = _ProfileModel(PROFILE)
-        calib = MarginalCalibrator(q_hat=np.inf, alpha=0.1, n_cal=2)
+        calib = Calibrator(q_hat=np.inf, alpha=0.1, counts=2)
         assert predict_set_marginal(model, calib, None, "discount").labels.tolist() == [0, 1, 2]
 
     def test_discount_hand_threshold_selects_top(self):
         model = _ProfileModel(PROFILE)
-        calib = MarginalCalibrator(q_hat=-0.05, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-0.05, alpha=0.1, counts=10)
         assert predict_set_marginal(model, calib, None, "discount").labels.tolist() == [0]
 
     def test_looser_threshold_selects_all(self):
         model = _ProfileModel(PROFILE)
-        calib = MarginalCalibrator(q_hat=-0.005, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-0.005, alpha=0.1, counts=10)
         assert predict_set_marginal(model, calib, None, "discount").labels.tolist() == [0, 1, 2]
 
     def test_conditional_per_label_thresholds(self):
         model = _ProfileModel(PROFILE)
-        calib = ConditionalCalibrator(
-            q_hat_per_label=np.array([-0.05, -0.005, -1.0]), alpha=0.1, counts=np.array([3, 3, 3])
+        calib = Calibrator(
+            q_hat=np.array([-0.05, -0.005, -1.0]), alpha=0.1, counts=np.array([3, 3, 3]), per_label=True
         )
         assert predict_set_conditional(model, calib, None, "discount").labels.tolist() == [0, 1]
 
     def test_equal_conditional_thresholds_reduce_to_marginal(self):
         model = _ProfileModel(PROFILE)
-        cond = ConditionalCalibrator(
-            q_hat_per_label=np.array([-0.05, -0.05, -0.05]), alpha=0.1, counts=np.array([3, 3, 3])
+        cond = Calibrator(
+            q_hat=np.array([-0.05, -0.05, -0.05]), alpha=0.1, counts=np.array([3, 3, 3]), per_label=True
         )
-        marg = MarginalCalibrator(q_hat=-0.05, alpha=0.1, n_cal=9)
+        marg = Calibrator(q_hat=-0.05, alpha=0.1, counts=9)
         a = predict_set_conditional(model, cond, None, "discount").labels
         b = predict_set_marginal(model, marg, None, "discount").labels
         np.testing.assert_array_equal(a, b)
 
     def test_set_invariant_members_below_threshold(self):
         model = _ProfileModel(PROFILE)
-        calib = MarginalCalibrator(q_hat=-0.05, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-0.05, alpha=0.1, counts=10)
         ps = predict_set_marginal(model, calib, None, "discount")
         assert np.all(ps.scores[ps.labels] <= calib.q_hat)
 
@@ -326,7 +365,7 @@ class TestPredictionSets:
         # keeps an all-NaN profile from getting the empty set (an abstention)
         X = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
         model = train_prototypes(X, [0, 1, 2], IdentityEncoder(2), "centroid", "inverse_euclidean")
-        calib = MarginalCalibrator(q_hat=-0.1, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-0.1, alpha=0.1, counts=10)
         with pytest.raises(ValueError, match="NaN or infinite"):
             predict_set_marginal(model, calib, np.array([np.nan, 0.0]), "similarity")
 
@@ -336,7 +375,7 @@ class TestPredictionSets:
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         enc = IdentityEncoder(2)
         model = train_prototypes(X, [0, 1], enc, "l2_normalized_real", "cosine_normalized")
-        calib = MarginalCalibrator(q_hat=-0.9, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-0.9, alpha=0.1, counts=10)
         with pytest.raises(ValueError, match="NaN or infinite"):
             predict_set_marginal(model, calib, np.array([np.nan, 0.0]), "discount")
 
@@ -387,7 +426,7 @@ class TestPredictSets:
 
     def test_randomized_kind_needs_draws(self, fitted):
         model, _, _, _, queries = fitted
-        calib = MarginalCalibrator(q_hat=-0.5, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-0.5, alpha=0.1, counts=10)
         with pytest.raises(ValueError, match="uniform draw"):
             predict_sets(model, calib, queries, "inverse_quantile")
         with pytest.raises(ValueError, match="one uniform draw per profile row"):
@@ -397,7 +436,7 @@ class TestPredictSets:
 
     def test_conditional_calibrator_checks_the_class_count(self, fitted):
         model, _, _, _, queries = fitted
-        calib = ConditionalCalibrator(q_hat_per_label=np.zeros(4), alpha=0.1, counts=np.ones(4))
+        calib = Calibrator(q_hat=np.zeros(4), alpha=0.1, counts=np.ones(4), per_label=True)
         with pytest.raises(ValueError, match="class count"):
             predict_sets(model, calib, queries, "similarity")
 
@@ -405,19 +444,19 @@ class TestPredictSets:
 class TestPointPrediction:
     def test_multi_member_set_keeps_argmin(self):
         model = _ProfileModel(np.array([0.8, 0.3, 0.5]))
-        calib = MarginalCalibrator(q_hat=-0.1, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-0.1, alpha=0.1, counts=10)
         ps = predict_point(model, calib, None, "similarity", allow_empty=False)
         assert ps.labels.tolist() == [0]
 
     def test_empty_set_allowed_stays_empty(self):
         model = _ProfileModel(PROFILE)
-        calib = MarginalCalibrator(q_hat=-2.0, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-2.0, alpha=0.1, counts=10)
         ps = predict_point(model, calib, None, "similarity", allow_empty=True)
         assert len(ps) == 0
 
     def test_empty_set_disallowed_falls_back_to_argmin(self):
         model = _ProfileModel(PROFILE)
-        calib = MarginalCalibrator(q_hat=-2.0, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-2.0, alpha=0.1, counts=10)
         ps = predict_point(model, calib, None, "discount", allow_empty=False)
         assert ps.labels.tolist() == [0]
 
@@ -428,7 +467,7 @@ class TestPointPrediction:
 
     def test_singleton_set_unchanged(self):
         model = _ProfileModel(PROFILE)
-        calib = MarginalCalibrator(q_hat=-0.5, alpha=0.1, n_cal=10)
+        calib = Calibrator(q_hat=-0.5, alpha=0.1, counts=10)
         ps = predict_point(model, calib, None, "similarity", allow_empty=True)
         assert ps.labels.tolist() == [0]
 

@@ -289,6 +289,19 @@ class TestRunExperiment:
             np.testing.assert_array_equal(m.label_coverage_se, np.zeros(3))
             assert np.all(np.isfinite(m.label_coverage))
 
+    def test_label_absent_from_every_test_fold_has_nan_coverage(self):
+        # 15 inliers leave one test point, so two labels never reach a test
+        # fold; their mean coverage is NaN without a "Mean of empty slice"
+        # RuntimeWarning, which tier-1 turns into an error
+        cfg = ExperimentConfig(
+            dataset="synthetic", repetitions=1, seed=7, conditional=True, n_per_class=(5, 5, 5), n_ood=5
+        )
+        for m in run_experiment(cfg).methods[1:]:
+            assert np.isnan(m.label_coverage).sum() == 2, m.label_coverage
+            tested = np.isfinite(m.label_coverage)
+            assert m.label_coverage[tested][0] in (0.0, 1.0)
+            np.testing.assert_array_equal(m.label_coverage_se, np.zeros(3))
+
     def test_size_nonincreasing_in_alpha(self):
         sizes = []
         for alpha in (0.2, 0.1, 0.05):
@@ -660,10 +673,23 @@ _BATCHED_CASES = pytest.mark.parametrize(
 )
 
 
+def _stacked(config, graded):
+    """Per-repetition metric dicts as ``_evaluate_group`` returns a group's: one (methods, G) array each."""
+    methods = [evaluation.METHOD_HDC, *config.score_kinds]
+    out = {key: np.array([[rep[m][key] for rep in graded] for m in methods]) for key in evaluation._METRICS}
+    if config.conditional and config.score_kinds:
+        n_classes = graded[0][config.score_kinds[0]]["label_coverage"].shape[0]
+        for key in ("label_coverage", "label_upper_slack"):
+            none = np.full(n_classes, np.nan)
+            out[key] = np.array([[none if rep[m][key] is None else rep[m][key] for rep in graded] for m in methods])
+    return out
+
+
 def _grade_one_at_a_time(monkeypatch):
     """Grade every repetition alone, one score kind at a time, with the reference."""
     monkeypatch.setattr(
-        evaluation, "_evaluate_group", lambda config, reps: [_per_kind_profiles(config, r) for r in reps]
+        evaluation, "_evaluate_group",
+        lambda config, reps: _stacked(config, [_per_kind_profiles(config, r) for r in reps]),
     )
 
 
@@ -698,8 +724,8 @@ class TestBatchedMetrics:
         # One pass over all 64 repetitions would stack 64 * 132 kB = 8 MiB of
         # scores. In groups of 6 under the 896 KiB budget both runs hold one
         # full group at their peak, and the 64-repetition run adds only its
-        # 56 more repetitions' metric dicts, about 3 kB each; the slack is
-        # 512 KiB.
+        # 56 more repetitions' metrics, 7 floats per method each; the slack
+        # is 512 KiB.
         peaks = []
         for reps in (8, 64):
             tracemalloc.start()

@@ -211,11 +211,6 @@ class TestSimilarity:
         h = RealAccumulator([1.0, 2.0])
         assert similarity(h, h, "inverse_euclidean") == INVERSE_EUCLIDEAN_CAP
 
-    def test_hamming(self):
-        a = bipolar(1, 1, 1, 1, 1, 1, 1, 1)
-        b = bipolar(-1, -1, 1, 1, 1, 1, 1, 1)
-        assert similarity(a, b, "hamming_similarity") == 0.75
-
     def test_complex_cosine_hand(self):
         a = ComplexHypervector([0.0, 0.0])
         b = ComplexHypervector([0.0, np.pi])
@@ -224,10 +219,6 @@ class TestSimilarity:
     def test_complex_identity_maximal(self):
         h = random_phase(128, seed=11)
         assert similarity(h, h, "complex_cosine") == pytest.approx(1.0, abs=1e-12)
-
-    def test_hamming_identity_maximal(self):
-        h = random_bipolar(64, seed=12)
-        assert similarity(h, h, "hamming_similarity") == 1.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -247,7 +238,7 @@ class TestSimilarity:
     @settings(max_examples=40, deadline=None)
     def test_symmetry_all_kinds(self, seed, d):
         a, b = random_pair(d, seed)
-        for kind in ("cosine_normalized", "inverse_euclidean", "hamming_similarity"):
+        for kind in ("cosine_normalized", "inverse_euclidean"):
             assert similarity(a, b, kind) == pytest.approx(similarity(b, a, kind))
         ca = random_phase(d, seed)
         cb = random_phase(d, seed + 1)
@@ -259,8 +250,7 @@ class TestSimilarity:
     @settings(max_examples=40, deadline=None)
     def test_outputs_nonnegative_and_bounded(self, seed, d):
         a, b = random_pair(d, seed)
-        for kind in ("cosine_normalized", "hamming_similarity"):
-            assert 0.0 <= similarity(a, b, kind) <= 1.0
+        assert 0.0 <= similarity(a, b, "cosine_normalized") <= 1.0
         assert similarity(a, b, "inverse_euclidean") > 0.0
         ca = random_phase(d, seed)
         cb = random_phase(d, seed + 1)
@@ -275,7 +265,7 @@ class TestSimilarity:
 
     def test_plain_arrays_equal_hypervector_values(self):
         a, b = random_bipolar(64, seed=13), random_bipolar(64, seed=14)
-        for kind in ("cosine_normalized", "inverse_euclidean", "hamming_similarity"):
+        for kind in ("cosine_normalized", "inverse_euclidean"):
             assert similarity(a.elements, b.elements, kind) == similarity(a, b, kind)
         ca, cb = random_phase(64, seed=13), random_phase(64, seed=14)
         assert similarity(ca.as_complex(), cb, "complex_cosine") == similarity(ca, cb, "complex_cosine")
@@ -296,7 +286,6 @@ class TestSimilarityMatrix:
         formulas = {
             "cosine_normalized": lambda q, p: (np.clip(q @ p / np.sqrt((q @ q) * (p @ p)), -1, 1) + 1) / 2,
             "inverse_euclidean": lambda q, p: min(1 / (np.linalg.norm(q - p) + EPS), INVERSE_EUCLIDEAN_CAP),
-            "hamming_similarity": lambda q, p: 1 - np.count_nonzero(q != p) / q.shape[0],
         }
         for kind, formula in formulas.items():
             mat = similarity_matrix(Q, P, kind)
@@ -304,16 +293,6 @@ class TestSimilarityMatrix:
                 for j in range(2):
                     want = formula(Q[i].astype(np.float64), P[j].astype(np.float64))
                     assert mat[i, j] == pytest.approx(want, rel=1e-12)
-
-    @pytest.mark.parametrize("n, k, d", [(1, 1, 5), (17, 5, 33), (40, 10, 64)])
-    def test_hamming_matches_broadcast_mismatch_count(self, n, k, d):
-        rng = np.random.default_rng(n * k * d)
-        Q = rng.integers(0, 2, size=(n, d), dtype=np.int8) * 2 - 1
-        P = rng.integers(0, 2, size=(k, d), dtype=np.int8) * 2 - 1
-        R = rng.integers(-2, 3, size=(n, d)).astype(np.float64)  # real rows with repeated values
-        for q, p in ((Q, P), (R, R[:k])):
-            want = 1.0 - (q[:, None, :] != p[None, :, :]).sum(axis=2) / d
-            assert similarity_matrix(q, p, "hamming_similarity").tobytes() == want.tobytes()
 
     def test_matches_scalar_complex(self):
         # reference: (Re[q^T conj(p)]/d + 1)/2 floored at 0, on one pair of rows
@@ -344,9 +323,7 @@ class TestSimilarityMatrix:
             similarity_matrix(Q, P, kind, prototype_sq_norms=norms)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize(
-        "kind", ["cosine_normalized", "inverse_euclidean", "hamming_similarity", "complex_cosine"]
-    )
+    @pytest.mark.parametrize("kind", ["cosine_normalized", "inverse_euclidean", "complex_cosine"])
     @pytest.mark.parametrize("side", ["queries", "prototypes"])
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # complex inf
     def test_non_finite_input_rejected(self, kind, bad, side):
@@ -358,7 +335,7 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="NaN or infinite"):
             similarity_matrix(arrays["queries"], arrays["prototypes"], kind)
 
-    @pytest.mark.parametrize("kind", ["cosine_normalized", "inverse_euclidean", "hamming_similarity"])
+    @pytest.mark.parametrize("kind", ["cosine_normalized", "inverse_euclidean"])
     @pytest.mark.parametrize("side", ["queries", "prototypes"])
     def test_complex_input_rejected_by_real_kinds(self, kind, side):
         arrays = {"queries": np.ones((3, 6)), "prototypes": np.ones((2, 6))}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conformal_hdc.classifier import train_prototypes
-from conformal_hdc.conformal import ConditionalCalibrator, MarginalCalibrator
+from conformal_hdc.conformal import Calibrator, calibrate_conditional, calibrate_marginal
 from conformal_hdc.encoders import (
     BinaryImageEncoder,
     IdentityEncoder,
@@ -117,34 +117,106 @@ class TestModelRoundTrip:
     def test_similarity_kind_checked_on_load(self, tmp_path, kind):
         X = np.random.default_rng(4).normal(size=(6, 3))
         model = train_prototypes(X, [0, 1, 2] * 2, IdentityEncoder(p=3), "centroid", "inverse_euclidean")
-        path = tmp_path / "m.npz"
-        save_model(model, path)
-        with np.load(path) as data:
-            arrays = dict(data)
-        meta = json.loads(str(arrays["meta"]))
-        meta["similarity_kind"] = kind
-        arrays["meta"] = np.array(json.dumps(meta))
-        np.savez(path, **arrays)
+        _renamed_kind(model, tmp_path / "m.npz", kind)
         with pytest.raises(ValueError, match="similarity kind"):
-            load_model(path)
+            load_model(tmp_path / "m.npz")
+
+
+def _renamed_kind(model, path, kind):
+    """Save ``model`` to ``path`` as a file naming the similarity ``kind``."""
+    save_model(model, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    meta["similarity_kind"] = kind
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+class TestDeletedHammingKind:
+    def test_bipolar_model_loads_as_cosine(self, tmp_path):
+        # 1 - (mismatches)/d equals (cos + 1)/2 on bipolar codes, so a file
+        # that names the deleted kind profiles as cosine_normalized
+        rng = np.random.default_rng(5)
+        X = (rng.uniform(size=(12, 16)) > 0.5).astype(np.uint8)
+        model = train_prototypes(X, [0, 1, 2] * 4, BinaryImageEncoder(p=16, d=128, seed=3), "binarized",
+                                 "cosine_normalized")
+        _renamed_kind(model, tmp_path / "m.npz", "hamming_similarity")
+        loaded = load_model(tmp_path / "m.npz")
+        assert loaded.similarity_kind == "cosine_normalized"
+        Q = (rng.uniform(size=(5, 16)) > 0.5).astype(np.uint8)
+        codes = model.encoder.encode_batch(Q).astype(np.float64)
+        protos = model.prototypes.astype(np.float64)
+        hamming = 1.0 - (codes[:, None, :] != protos[None, :, :]).sum(axis=2) / 128
+        np.testing.assert_allclose(loaded.similarity_profiles(Q), hamming, rtol=0, atol=2e-16)
+
+    def test_real_prototypes_rejected_by_name(self, tmp_path):
+        X = np.random.default_rng(6).normal(size=(6, 3))
+        model = train_prototypes(X, [0, 1, 2] * 2, IdentityEncoder(p=3), "centroid", "inverse_euclidean")
+        _renamed_kind(model, tmp_path / "m.npz", "hamming_similarity")
+        with pytest.raises(ValueError, match="'hamming_similarity'"):
+            load_model(tmp_path / "m.npz")
+
+
+#: what save_calibrator wrote for the calibrators of _calibrators() before the
+#: two calibrator types were merged; the bytes must not change
+MARGINAL_FILE = (
+    '{\n  "alpha": 0.2,\n  "format": "conformal-hdc-calibrator/1",\n  "metadata": {\n    "score": "discount"\n'
+    '  },\n  "n_cal": 9,\n  "q_hat": 0.3333333333333333,\n  "type": "marginal"\n}'
+)
+CONDITIONAL_FILE = (
+    '{\n  "alpha": 0.2,\n  "counts": [\n    6,\n    3,\n    0\n  ],\n  "format": "conformal-hdc-calibrator/1",\n'
+    '  "q_hat_per_label": [\n    0.7,\n    Infinity,\n    Infinity\n  ],\n  "type": "conditional"\n}'
+)
+
+
+def _calibrators():
+    scores = [0.3, -0.1, 0.25, 0.7, -0.45, 0.05, 1 / 3, 0.2, 0.15]
+    labels = [0, 1, 0, 0, 1, 0, 0, 1, 0]
+    return calibrate_marginal(scores, 0.2), calibrate_conditional(scores, labels, 0.2, 3)
+
+
+class TestCalibratorFileFormat:
+    def test_saved_bytes_unchanged(self, tmp_path):
+        marginal, conditional = _calibrators()
+        save_calibrator(marginal, tmp_path / "m.json", {"score": "discount"})
+        save_calibrator(conditional, tmp_path / "c.json")
+        assert (tmp_path / "m.json").read_text() == MARGINAL_FILE
+        assert (tmp_path / "c.json").read_text() == CONDITIONAL_FILE
+
+    def test_earlier_files_load_with_equal_thresholds(self, tmp_path):
+        for text, calibrator in zip((MARGINAL_FILE, CONDITIONAL_FILE), _calibrators()):
+            (tmp_path / "c.json").write_text(text)
+            loaded = load_calibrator(tmp_path / "c.json")
+            assert loaded.per_label == calibrator.per_label and loaded.alpha == calibrator.alpha
+            assert loaded.q_hat.tobytes() == calibrator.q_hat.tobytes()
+            assert loaded.counts.tobytes() == calibrator.counts.tobytes()
+            np.testing.assert_array_equal(loaded.thresholds(3), calibrator.thresholds(3))
+
+    @pytest.mark.parametrize("per_label", [False, True])
+    def test_calibrator_with_leading_axes_not_saved(self, tmp_path, per_label):
+        scores = np.random.default_rng(2).uniform(size=(2, 20))
+        labels = np.arange(20) % 2 + np.zeros((2, 1), dtype=np.int64)
+        stacked = calibrate_conditional(scores, labels, 0.1, 2) if per_label else calibrate_marginal(scores, 0.1)
+        with pytest.raises(ValueError, match="one calibration"):
+            save_calibrator(stacked, tmp_path / "c.json")
+        assert not (tmp_path / "c.json").exists()
 
 
 class TestCalibratorRoundTrip:
     def test_marginal(self, tmp_path):
-        calib = MarginalCalibrator(q_hat=-0.123456789, alpha=0.05, n_cal=400)
+        calib = Calibrator(q_hat=-0.123456789, alpha=0.05, counts=400)
         save_calibrator(calib, tmp_path / "c.json", metadata={"score_kind": "discount"})
         loaded = load_calibrator(tmp_path / "c.json")
         assert loaded == calib
 
     def test_conditional_with_infinite_thresholds(self, tmp_path):
-        calib = ConditionalCalibrator(
-            q_hat_per_label=np.array([-0.5, np.inf, -0.25]),
-            alpha=0.1,
-            counts=np.array([10, 0, 7]),
+        calib = Calibrator(
+            q_hat=np.array([-0.5, np.inf, -0.25]), alpha=0.1, counts=np.array([10, 0, 7]), per_label=True
         )
         save_calibrator(calib, tmp_path / "c.json")
         loaded = load_calibrator(tmp_path / "c.json")
-        np.testing.assert_array_equal(loaded.q_hat_per_label, calib.q_hat_per_label)
+        np.testing.assert_array_equal(loaded.q_hat, calib.q_hat)
         np.testing.assert_array_equal(loaded.counts, calib.counts)
 
     def test_rejects_foreign_file(self, tmp_path):

@@ -175,12 +175,13 @@ def quantile_index(n, alpha: float):
     return int(k) if k.ndim == 0 else k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Calibrator:
     """Empirical-quantile thresholds ``q_hat``: (...) shared by all labels, or (..., K) ``per_label``.
 
     Leading axes index separate calibrations, so one shared threshold is
     0-d. ``counts`` holds the calibration scores behind each threshold.
+    Calibrators compare and hash by identity: their fields are arrays.
     """
 
     q_hat: np.ndarray

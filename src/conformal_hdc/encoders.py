@@ -131,7 +131,9 @@ class LevelMemory:
     Level 0 is random; each subsequent level flips ``floor(d / (2*(L-1)))``
     fresh positions, drawn from a single global permutation so the flip
     sets of different steps never overlap. The Hamming distance between
-    levels u and v is then exactly ``flip_step * |u - v|``.
+    levels u and v is then exactly ``flip_step * |u - v|``. The read-only
+    ``flips`` keeps that order: level v flips
+    ``flips[(v-1)*flip_step : v*flip_step]``.
     """
 
     def __init__(self, d: int, levels: int = 21, seed=None) -> None:
@@ -142,14 +144,15 @@ class LevelMemory:
         rng = np.random.default_rng(seed)
         self.flip_step = d // (2 * (levels - 1))
         base = (rng.integers(0, 2, size=d, dtype=np.int8) * 2 - 1)
-        perm = rng.permutation(d)
+        flips = rng.permutation(d)[: (levels - 1) * self.flip_step]
+        flips.setflags(write=False)
         vectors = np.empty((levels, d), dtype=np.int8)
         vectors[0] = base
         for v in range(1, levels):
             vectors[v] = vectors[v - 1]
-            flip = perm[(v - 1) * self.flip_step : v * self.flip_step]
-            vectors[v, flip] *= -1
+            vectors[v, flips[(v - 1) * self.flip_step : v * self.flip_step]] *= -1
         vectors.setflags(write=False)
+        self.flips = flips
         self.vectors = vectors
         self.d = d
         self.levels = levels
@@ -583,9 +586,6 @@ class IdentityEncoder:
             raise ValueError(f"expected {self.p} features, got {X.shape[1]}")
         return X
 
-    def state(self) -> dict:
-        return {"type": "identity", "p": self.p}
-
 
 class BinaryImageEncoder:
     """Position-bundling encoder for binary images."""
@@ -607,60 +607,37 @@ class BinaryImageEncoder:
             raise ValueError("pixels must be binary (threshold upstream)")
         return _bipolar_sign(X.astype(np.float32) @ self.im.vectors.astype(np.float32))
 
-    def state(self) -> dict:
-        return {"type": "binary_image", "p": self.p, "d": self.d, "seed": self.seed}
-
 
 class _LevelPlan:
-    """The codebook-only part of the quantized encoding, derived once per table pair.
+    """The codebook-only part of the quantized encoding, built once per encoder from its tables.
 
     Telescoping L_q = L_0 + sum_{v=1..q} (L_v - L_{v-1}) turns
     sum_j ID_j * L_{q_j} into the base sum_j ID_j * L_0 plus, per level v,
-    (q >= v) @ (ID * step_v) on the columns step_v = L_v - L_{v-1} flips.
-    Those flips, in level order, are the columns of ``block``: its first p
-    rows hold ID_j * step_v and its last row the base, on a column's first
-    flip only, so a product whose left factor ends in a column of ones adds
-    the base once. Level v's flips are ``block[:, bounds[v-1]:bounds[v]]``.
-    The columns no level flips keep the sign of the base, which no input
-    changes: ``constant_codes``.
-
-    LevelMemory flips each column at most once. A general level table may
-    flip one column at several levels; its flips then form layers of
-    distinct columns, and a batch adds each later layer into the first.
+    (q >= v) @ (ID * step_v) on the columns level v flips. ``lm.flips``
+    names them, each column at most once, and a flip negates the base, so
+    step_v = -2 L_0 there. Those flips, level by level and in column order
+    within a level, are ``flipped`` and the columns of ``block``: its
+    first p rows hold ID_j * step_v and its last row the base, so a
+    product whose left factor ends in a column of ones adds the base.
+    Level v's flips are ``block[:, bounds[v-1]:bounds[v]]``. The columns
+    no level flips keep the sign of the base, which no input changes:
+    ``constant_codes``.
     """
 
-    def __init__(self, ids: np.ndarray, lvls: np.ndarray) -> None:
+    def __init__(self, ids: np.ndarray, lm: LevelMemory) -> None:
         self.ids = ids
-        self.lvls = lvls
+        self.lvls = lm.vectors
         p, d = ids.shape
-        steps = np.diff(lvls.astype(np.float32), axis=0)
-        flip_level, flip_col = np.nonzero(steps)
-        self.bounds = np.searchsorted(flip_level, np.arange(lvls.shape[0]))
-        # the rank of each flip among those of its column, in level order
-        by_col = np.argsort(flip_col, kind="stable")
-        index = np.arange(flip_col.size)
-        column_start = np.r_[True, np.diff(flip_col[by_col]) != 0]
-        rank = np.empty_like(index)
-        rank[by_col] = index - np.maximum.accumulate(np.where(column_start, index, 0))
-        first = np.flatnonzero(rank == 0)
-        self.flipped = flip_col[first]
-        base = ids.sum(axis=0, dtype=np.float32) * lvls[0]
-        block = np.empty((p + 1, flip_col.size), dtype=np.float32)
+        self.bounds = lm.flip_step * np.arange(lm.levels)
+        self.flipped = np.sort(lm.flips.reshape(lm.levels - 1, lm.flip_step), axis=1).ravel()
+        base = ids.sum(axis=0, dtype=np.float32) * lm.vectors[0]
+        block = np.empty((p + 1, self.flipped.size), dtype=np.float32)
         # cast, then scaled in place: a mixed int8 * float32 product is twice as slow
-        block[:p] = np.take(ids, flip_col, axis=1)
-        block[:p] *= steps[flip_level, flip_col]
-        block[p] = 0.0
-        block[p, first] = base[self.flipped]
+        block[:p] = np.take(ids, self.flipped, axis=1)
+        block[:p] *= -2 * lm.vectors[0, self.flipped].astype(np.float32)
+        block[p] = base[self.flipped]
         block.setflags(write=False)
         self.block = block
-        # a view of the accumulator, not a copy, when every flip is a first one
-        self.first = slice(None) if first.size == flip_col.size else first
-        position = np.empty(d, dtype=np.intp)
-        position[self.flipped] = np.arange(self.flipped.size)
-        self.later = [
-            (layer, position[flip_col[layer]])
-            for layer in (np.flatnonzero(rank == r) for r in range(1, rank.max(initial=0) + 1))
-        ]
         constant = np.ones(d, dtype=bool)
         constant[self.flipped] = False
         self.constant = np.flatnonzero(constant)
@@ -682,7 +659,7 @@ class QuantizedFeatureEncoder:
         self.d = d
         self.levels = levels
         self.seed = seed
-        self._plan = _LevelPlan(self.im.vectors, self.lm.vectors)
+        self._plan = _LevelPlan(self.im.vectors, self.lm)
 
     def fit(self, X) -> "QuantizedFeatureEncoder":
         self.grid = QuantizationGrid.fit(np.asarray(X, dtype=np.float64), self.levels)
@@ -700,20 +677,16 @@ class QuantizedFeatureEncoder:
             )
         return self.grid
 
-    def _level_plan(self) -> _LevelPlan:
-        """The plan of the current tables, derived again when either array is replaced."""
-        plan = self._plan
-        if plan.ids is not self.im.vectors or plan.lvls is not self.lm.vectors:
-            plan = self._plan = _LevelPlan(self.im.vectors, self.lm.vectors)
-        return plan
-
     def encode_batch(self, X) -> np.ndarray:
         grid = self._require_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.p:
             raise ValueError(f"expected {self.p} features, got {X.shape[1]}")
+        plan = self._plan
+        if plan.ids is not self.im.vectors or plan.lvls is not self.lm.vectors:
+            # the plan holds the tables' products; a stale one would give wrong codes
+            raise ValueError("the item or level table was replaced after the encoder was built")
         q = grid.quantize(X)
-        plan = self._level_plan()
         # Only quantize, multiply and sign here: the plan holds the codebook
         # work. One product per level, [q >= v, 1] @ block[:, level v's
         # flips], goes straight into that level's columns of an (n, flips)
@@ -729,25 +702,10 @@ class QuantizedFeatureEncoder:
                 np.greater_equal(q, v, out=left[:, :p], casting="unsafe")
                 np.matmul(left, plan.block[:, lo:hi], out=acc[:, lo:hi])
         del q, left
-        sums = acc[:, plan.first]
-        for layer, position in plan.later:
-            sums[:, position] += acc[:, layer]
         codes = np.empty((n, self.d), dtype=np.int8)
         codes[:, plan.constant] = plan.constant_codes
-        codes[:, plan.flipped] = _bipolar_sign(sums)
+        codes[:, plan.flipped] = _bipolar_sign(acc)
         return codes
-
-    def state(self) -> dict:
-        grid = self.grid
-        return {
-            "type": "quantized_features",
-            "p": self.p,
-            "d": self.d,
-            "levels": self.levels,
-            "seed": self.seed,
-            "grid_mins": None if grid is None else grid.mins,
-            "grid_maxs": None if grid is None else grid.maxs,
-        }
 
 
 class TrigramTextEncoder:
@@ -769,9 +727,6 @@ class TrigramTextEncoder:
         if not rows:
             raise ValueError("cannot encode an empty batch of texts")
         return np.stack(rows)
-
-    def state(self) -> dict:
-        return {"type": "trigram_text", "d": self.d, "seed": self.seed}
 
 
 class TemporalFpeEncoder:
@@ -796,13 +751,3 @@ class TemporalFpeEncoder:
         if X.ndim != 3 or X.shape[1] != self.p:
             raise ValueError(f"expected (n, {self.p}, t) trajectories, got shape {X.shape}")
         return _fpe_superpose(X, self.factor, self.d)
-
-    def state(self) -> dict:
-        return {
-            "type": "temporal_fpe",
-            "p": self.p,
-            "d": self.d,
-            "t_max": self.t_max,
-            "beta": self.beta,
-            "seed": self.seed,
-        }

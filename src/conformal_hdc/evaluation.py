@@ -450,15 +450,13 @@ _GROUP_BYTES = 896 * 2**10
 class _Profiles(NamedTuple):
     """One repetition's similarity profiles, the labels they grade and its draw seed.
 
-    ``cal``, ``test`` and ``ood`` hold the calibration, test and OOD rows'
-    (n, K) profiles against the train prototypes (``ood`` is None without
-    an OOD pool); ``full_test`` the test rows' against the baseline's.
+    ``rows`` holds the calibration, test and OOD rows' (n, K) profiles
+    against the train prototypes, in that order; ``full_test`` the test
+    rows' against the baseline's.
     """
 
-    cal: np.ndarray
-    test: np.ndarray
+    rows: np.ndarray
     full_test: np.ndarray
-    ood: np.ndarray | None
     y_cal: np.ndarray
     y_test: np.ndarray
     u_ss: np.random.SeedSequence
@@ -466,8 +464,7 @@ class _Profiles(NamedTuple):
 
 def _group_size(rep: _Profiles, n_kinds: int) -> int:
     """Repetitions of ``rep``'s shape whose scores fit in ``_GROUP_BYTES``, at least one."""
-    n_rows = sum(0 if p is None else p.shape[0] for p in (rep.cal, rep.test, rep.ood))
-    return max(1, _GROUP_BYTES // (8 * n_rows * rep.cal.shape[1] * max(1, n_kinds)))
+    return max(1, _GROUP_BYTES // (8 * rep.rows.size * max(1, n_kinds)))
 
 
 def run_experiment(config: ExperimentConfig, bundle=None) -> ExperimentResult:
@@ -578,7 +575,7 @@ def _evaluate_repetition(
     style, sim_kind = recipe.style, recipe.similarity
     rows = _chunk_rows(encoder.d)
     sums, counts = 0, 0  # the first += makes them arrays of class_sums's dtypes
-    prof = {"cal": [], "test": [], "full_test": [], "ood": []}
+    prof, full_test = [], []
     folds = (("train", feats, train_idx), ("cal", feats, cal_idx), ("test", feats, test_idx))
     for fold, source, idx in folds + (("ood", ood_feats, np.arange(len(ood_feats))),):
         # the train sums give the train prototypes; train + calibration, the baseline's
@@ -590,16 +587,15 @@ def _evaluate_repetition(
             part = idx[start : start + rows]
             codes = encoder.encode_batch(source[part])
             if fold != "train":
-                prof[fold].append(similarity_matrix(codes, protos_train, sim_kind))
+                prof.append(similarity_matrix(codes, protos_train, sim_kind))
             if fold == "test":
-                prof["full_test"].append(similarity_matrix(codes, protos_full, sim_kind))
+                full_test.append(similarity_matrix(codes, protos_full, sim_kind))
             if fold in ("train", "cal"):
                 s, c = class_sums(codes, labels[part], n_classes)
                 sums += s
                 counts += c
             del codes  # before the next chunk is encoded
-    prof = {k: np.concatenate(v) if v else None for k, v in prof.items()}
-    return _Profiles(**prof, y_cal=labels[cal_idx], y_test=labels[test_idx], u_ss=u_ss)
+    return _Profiles(np.concatenate(prof), np.concatenate(full_test), labels[cal_idx], labels[test_idx], u_ss)
 
 
 def _evaluate_group(config: ExperimentConfig, group: List[_Profiles]) -> Dict[str, np.ndarray]:
@@ -616,10 +612,9 @@ def _evaluate_group(config: ExperimentConfig, group: List[_Profiles]) -> Dict[st
     per-label metrics are (methods, G, K).
     """
     G = len(group)
-    first = group[0]
-    n_classes = first.cal.shape[1]
-    n_cal, n_test = first.cal.shape[0], first.test.shape[0]
-    n_ood = 0 if first.ood is None else first.ood.shape[0]
+    n, n_classes = group[0].rows.shape
+    n_cal, n_test = group[0].y_cal.shape[0], group[0].y_test.shape[0]
+    n_ood = n - n_cal - n_test
     # the group's labels, checked once before they index any scores
     y_cal = check_class_labels(np.stack([r.y_cal for r in group]), n_classes).reshape(G, n_cal)
     y_test = check_class_labels(np.stack([r.y_test for r in group]), n_classes).reshape(G, n_test)
@@ -637,11 +632,7 @@ def _evaluate_group(config: ExperimentConfig, group: List[_Profiles]) -> Dict[st
     if not kinds:
         return metrics
 
-    n = n_cal + n_test + n_ood
-    rows = np.empty((G, n, n_classes))
-    for r, block in zip(group, rows):
-        np.concatenate([p for p in (r.cal, r.test, r.ood) if p is not None], out=block)
-    rows = rows.reshape(G * n, n_classes)
+    rows = np.stack([r.rows for r in group]).reshape(G * n, n_classes)
     # one draw per row, the same numbers as drawing u_cal, u_test, u_ood in turn
     u = np.concatenate([np.random.default_rng(r.u_ss).uniform(size=n) for r in group])
     kw = dict(lam=config.lam, temperature=config.temperature, u=u)

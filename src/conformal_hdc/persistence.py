@@ -2,8 +2,10 @@
 
 Models save to a single ``.npz`` holding the prototype array, any fitted
 grid arrays, and a JSON metadata record (encoder type, parameters, seeds,
-similarity kind, style, label names). Reloading rebuilds the encoder from
-its seeds, so a restored model reproduces the original bit for bit.
+similarity kind, style, label names). One table, ``_ENCODERS``, names each
+encoder type's class and the constructor arguments its record saves.
+Reloading rebuilds the encoder from them, seeds included, so a restored
+model reproduces the original bit for bit.
 
 A calibrator saves to JSON: its thresholds (one shared, or one per
 label), counts and alpha, plus any caller-supplied metadata such as the
@@ -30,6 +32,16 @@ from .encoders import (
 )
 
 __all__ = ["load_calibrator", "load_model", "save_calibrator", "save_model"]
+
+#: each encoder type's class and the constructor arguments its record saves, in file order
+_ENCODERS = {
+    "identity": (IdentityEncoder, ("p",)),
+    "binary_image": (BinaryImageEncoder, ("p", "d", "seed")),
+    "quantized_features": (QuantizedFeatureEncoder, ("p", "d", "levels", "seed")),
+    "trigram_text": (TrigramTextEncoder, ("d", "seed")),
+    "temporal_fpe": (TemporalFpeEncoder, ("p", "d", "t_max", "beta", "seed")),
+}
+_TYPE_NAMES = {cls: name for name, (cls, _) in _ENCODERS.items()}
 
 
 def _seed_to_json(seed):
@@ -59,10 +71,13 @@ def _seed_from_json(obj):
 
 
 def save_model(model: TrainedModel, path) -> None:
-    state = model.encoder.state()
-    enc_meta = {k: v for k, v in state.items() if not isinstance(v, np.ndarray)}
+    encoder = model.encoder
+    kind = _TYPE_NAMES.get(type(encoder))
+    if kind is None:
+        raise ValueError(f"no saved form for an encoder of class {type(encoder).__name__}")
+    enc_meta = {"type": kind, **{name: getattr(encoder, name) for name in _ENCODERS[kind][1]}}
     if "seed" in enc_meta:
-        enc_meta["seed"] = _seed_to_json(state["seed"])
+        enc_meta["seed"] = _seed_to_json(enc_meta["seed"])
     meta = {
         "format": "conformal-hdc-model/1",
         "similarity_kind": model.similarity_kind,
@@ -71,39 +86,26 @@ def save_model(model: TrainedModel, path) -> None:
         "encoder": enc_meta,
     }
     arrays = {"prototypes": model.prototypes}
-    if state.get("grid_mins") is not None:
-        arrays["grid_mins"] = state["grid_mins"]
-        arrays["grid_maxs"] = state["grid_maxs"]
+    if kind == "quantized_features" and encoder.grid is not None:
+        arrays.update(grid_mins=encoder.grid.mins, grid_maxs=encoder.grid.maxs)
     np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def _rebuild_encoder(enc_meta: dict, arrays) -> object:
-    kind = enc_meta["type"]
-    seed = _seed_from_json(enc_meta["seed"]) if "seed" in enc_meta else None
-    if kind == "identity":
-        return IdentityEncoder(p=enc_meta["p"])
-    if kind == "binary_image":
-        return BinaryImageEncoder(p=enc_meta["p"], d=enc_meta["d"], seed=seed)
-    if kind == "quantized_features":
-        enc = QuantizedFeatureEncoder(
-            p=enc_meta["p"], d=enc_meta["d"], levels=enc_meta["levels"], seed=seed
-        )
-        if "grid_mins" in arrays:
-            enc.grid = QuantizationGrid(
-                mins=arrays["grid_mins"], maxs=arrays["grid_maxs"], levels=enc_meta["levels"]
-            )
-        return enc
-    if kind == "trigram_text":
-        return TrigramTextEncoder(d=enc_meta["d"], seed=seed)
-    if kind == "temporal_fpe":
-        return TemporalFpeEncoder(
-            p=enc_meta["p"],
-            d=enc_meta["d"],
-            t_max=enc_meta["t_max"],
-            beta=enc_meta["beta"],
-            seed=seed,
-        )
-    raise ValueError(f"unknown encoder type {kind!r} in model file")
+    # null values are dropped: earlier files record an unfitted grid as null bounds
+    args = {k: v for k, v in enc_meta.items() if v is not None}
+    kind = args.pop("type", None)
+    if not isinstance(kind, str) or kind not in _ENCODERS:
+        raise ValueError(f"unknown encoder type {kind!r} in model file")
+    cls, names = _ENCODERS[kind]
+    if set(args) != set(names):
+        raise ValueError(f"encoder type {kind!r} takes the arguments {list(names)}, the model file {sorted(args)}")
+    if "seed" in args:
+        args["seed"] = _seed_from_json(args["seed"])
+    encoder = cls(**args)
+    if kind == "quantized_features" and "grid_mins" in arrays:
+        encoder.grid = QuantizationGrid(mins=arrays["grid_mins"], maxs=arrays["grid_maxs"], levels=encoder.levels)
+    return encoder
 
 
 def load_model(path) -> TrainedModel:

@@ -226,6 +226,16 @@ class TestCalibration:
         assert calib.q_hat.tolist() == [0.3, 3.0] and calib.counts.tolist() == [4, 4]
         assert calib.thresholds(2).tolist() == [[0.3, 0.3], [3.0, 3.0]]
 
+    def test_calibrators_compare_and_hash_by_identity(self):
+        # a generated == on the array fields raised for per-label thresholds,
+        # and the generated __hash__ raised for every calibrator
+        per_label = calibrate_conditional([0.1, 0.2, 0.3], [0, 1, 0], 0.1, 2)
+        same = calibrate_conditional([0.1, 0.2, 0.3], [0, 1, 0], 0.1, 2)
+        marginal = calibrate_marginal([0.1, 0.2, 0.3], 0.1)
+        assert per_label == per_label and per_label != same and marginal != per_label
+        assert len({per_label, same, marginal, per_label}) == 3
+        assert hash(marginal) == hash(marginal)
+
     def test_conditional_with_leading_axes(self):
         scores = np.array([[0.1, 0.2, 0.3, 0.4], [1.0, 3.0, 2.0, 4.0]])
         labels = np.array([[0, 0, 1, 1], [1, 1, 1, 0]])

@@ -87,6 +87,14 @@ class TestLevelMemory:
             flips = np.count_nonzero(lm.vectors[v] != lm.vectors[v + 1])
             assert flips == lm.flip_step
 
+    @pytest.mark.parametrize("d, levels", [(1000, 21), (17, 21), (5, 8), (7, 2)])
+    def test_flips_name_each_level_change(self, d, levels):
+        lm = LevelMemory(d=d, levels=levels, seed=4)
+        assert not lm.flips.flags.writeable and lm.flips.size == (levels - 1) * lm.flip_step
+        for v in range(1, levels):
+            changed = np.flatnonzero(lm.vectors[v] != lm.vectors[v - 1])
+            np.testing.assert_array_equal(np.sort(lm.flips[(v - 1) * lm.flip_step : v * lm.flip_step]), changed)
+
     def test_distance_proportional_to_level_gap(self):
         lm = LevelMemory(d=1000, levels=11, seed=2)
         for u in range(11):
@@ -289,15 +297,6 @@ class TestQuantizedEncoding:
         for i in range(X.shape[0]):
             np.testing.assert_array_equal(batch[i], enc.encode_batch(X[i : i + 1])[0])
 
-    def test_batch_exact_for_any_level_table(self):
-        # flip sets of different steps overlap here, unlike LevelMemory's
-        enc = QuantizedFeatureEncoder(p=9, d=40, levels=6, seed=5)
-        rng = np.random.default_rng(5)
-        enc.lm.vectors = rng.choice(np.array([-1, 1], dtype=np.int8), size=(6, 40))
-        X = rng.normal(size=(30, 9))
-        enc.fit(X)
-        np.testing.assert_array_equal(enc.encode_batch(X), _quantized_sign_reference(enc, X))
-
     def test_batch_peak_memory(self):
         # Beyond its input the batch holds the quantizer's n x p float64
         # temporary, then the n x (p + 1) float32 left factor, the (n, flips)
@@ -324,7 +323,7 @@ class TestQuantizedEncoding:
         enc = QuantizedFeatureEncoder(p=p, d=d, levels=21, seed=1)
         tracemalloc.start()
         try:
-            plan = _LevelPlan(enc.im.vectors, enc.lm.vectors)
+            plan = _LevelPlan(enc.im.vectors, enc.lm)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -332,16 +331,17 @@ class TestQuantizedEncoding:
         assert plan.block.shape[0] == p + 1 and plan.block.shape[1] <= -(-d // 2)
         assert held <= 4 * (p + 1) * -(-d // 2) + 16 * d + 2**12
 
-    def test_plan_follows_replaced_tables(self):
+    @pytest.mark.parametrize("table", ["im", "lm"])
+    def test_replaced_table_rejected(self, table):
+        # the plan holds products of the tables the encoder was built with;
+        # after either is replaced it would give wrong codes without a sign
         enc = QuantizedFeatureEncoder(p=5, d=48, levels=4, seed=2)
         X = np.random.default_rng(2).normal(size=(12, 5))
         enc.fit(X)
-        before = enc.encode_batch(X)
-        enc.im.vectors = -enc.im.vectors
-        np.testing.assert_array_equal(enc.encode_batch(X), _quantized_sign_reference(enc, X))
-        enc.lm.vectors = enc.lm.vectors[::-1].copy()
-        np.testing.assert_array_equal(enc.encode_batch(X), _quantized_sign_reference(enc, X))
-        assert not np.array_equal(before, enc.encode_batch(X))
+        memory = getattr(enc, table)
+        memory.vectors = memory.vectors.copy()
+        with pytest.raises(ValueError, match="table was replaced"):
+            enc.encode_batch(X)
 
     def test_reloaded_model_across_chunks(self, tmp_path):
         # d = 2**15 + 1 encodes 15 rows per chunk, so 37 rows cross two chunk

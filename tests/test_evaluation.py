@@ -447,12 +447,13 @@ def _reference_ood_auc(inlier_scores, ood_scores_) -> float:
 
 def _per_kind_profiles(config, rep):
     """One repetition's metrics scored, calibrated and graded one score kind at a time."""
-    prof_cal, prof_test, prof_full_test, prof_ood, y_cal, y_test, u_ss = rep
-    n_classes = prof_cal.shape[1]
+    rows, prof_full_test, y_cal, y_test, u_ss = rep
+    prof_cal, prof_test, prof_ood = np.split(rows, np.cumsum([y_cal.shape[0], y_test.shape[0]]))
+    n_classes = rows.shape[1]
     u_rng = np.random.default_rng(u_ss)
     u_cal = u_rng.uniform(size=prof_cal.shape[0])
     u_test = u_rng.uniform(size=prof_test.shape[0])
-    u_ood = u_rng.uniform(size=prof_ood.shape[0]) if prof_ood is not None else None
+    u_ood = u_rng.uniform(size=prof_ood.shape[0])
     baseline_acc = float((np.argmax(prof_full_test, axis=1) == y_test).mean())
     out = {
         evaluation.METHOD_HDC: {
@@ -482,7 +483,7 @@ def _per_kind_profiles(config, rep):
         picks = point_labels_from_sets(include, test_scores, allow_empty=False)
         accuracy = float((picks == y_test).mean())
         auc = minscore_auc = ood_empty_rate = float("nan")
-        if prof_ood is not None and prof_ood.shape[0] > 0:
+        if prof_ood.shape[0] > 0:
             ood_mat = score_matrix(prof_ood, kind, u=u_ood, **kw)
             ood_abstain = ~sets_from_scores(ood_mat, thresholds).any(axis=1)
             test_abstain = sizes == 0
@@ -535,15 +536,11 @@ def _fancy_index_repetition(config, fractions, feats, labels, ood_feats, split_s
     full = np.concatenate([train, cal])
     protos_train = prototypes_from_encoded(encoded[train], labels[train], n_classes, style)
     protos_full = prototypes_from_encoded(encoded[full], labels[full], n_classes, style)
-    prof = {
-        "cal": similarity_matrix(encoded[cal], protos_train, kind),
-        "test": similarity_matrix(encoded[test], protos_train, kind),
-        "full_test": similarity_matrix(encoded[test], protos_full, kind),
-        "ood": None,
-    }
+    rows = [similarity_matrix(encoded[cal], protos_train, kind), similarity_matrix(encoded[test], protos_train, kind)]
     if len(ood_feats):
-        prof["ood"] = similarity_matrix(encoder.encode_batch(ood_feats), protos_train, kind)
-    return evaluation._Profiles(**prof, y_cal=labels[cal], y_test=labels[test], u_ss=u_ss)
+        rows.append(similarity_matrix(encoder.encode_batch(ood_feats), protos_train, kind))
+    full_test = similarity_matrix(encoded[test], protos_full, kind)
+    return evaluation._Profiles(np.concatenate(rows), full_test, labels[cal], labels[test], u_ss)
 
 
 def _letters_bundle(seed=0, n_classes=6, per_class=25, p=12):
@@ -560,7 +557,7 @@ def _profiles_seen(monkeypatch, run):
     grade = evaluation._evaluate_group
 
     def record(config, group):
-        seen.extend((r.cal, r.test, r.full_test, r.ood) for r in group)
+        seen.extend((r.rows, r.full_test) for r in group)
         return grade(config, group)
 
     monkeypatch.setattr(evaluation, "_evaluate_group", record)
@@ -594,9 +591,7 @@ class TestStreamedRepetition:
         assert len(got) == len(want) == config.repetitions
         for g, w in zip(got, want):
             for a, b in zip(g, w, strict=True):
-                if a is None or b is None:
-                    assert a is None and b is None
-                elif config.dataset == "isolet":
+                if config.dataset == "isolet":
                     # bipolar codes: integer sums and dots, exact in any order
                     assert a.tobytes() == b.tobytes()
                 elif config.dataset == "synthetic":
@@ -747,5 +742,4 @@ def _scores_bytes(config, bundle):
     rep = evaluation._evaluate_repetition(
         config, config.resolved_fractions(), feats, labels, ood, split_ss, enc_ss, u_ss
     )
-    rows = sum(0 if p is None else p.shape[0] for p in (rep.cal, rep.test, rep.ood))
-    return 8 * rows * rep.cal.shape[1] * max(1, len(config.score_kinds))
+    return 8 * rep.rows.size * max(1, len(config.score_kinds))

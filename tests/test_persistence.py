@@ -1,11 +1,12 @@
 """Model and calibrator round-trips must reload bit-identically."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from conformal_hdc.classifier import train_prototypes
+from conformal_hdc.classifier import TrainedModel, train_prototypes
 from conformal_hdc.conformal import Calibrator, calibrate_conditional, calibrate_marginal
 from conformal_hdc.encoders import (
     BinaryImageEncoder,
@@ -133,6 +134,123 @@ def _renamed_kind(model, path, kind):
     np.savez(path, **arrays)
 
 
+def _fixed_models():
+    """One small model per encoder type, with int and SeedSequence seeds, and the inputs it encodes."""
+    rng = np.random.default_rng(21)
+    feats = rng.normal(size=(6, 5))
+    pixels = (rng.uniform(size=(6, 12)) > 0.5).astype(np.uint8)
+    texts = ["abc def", "the cat", "zebra yak", "hello there", "a b c", "xyz"]
+    trials = rng.poisson(0.7, size=(6, 3, 4)).astype(float)
+    y = [0, 1, 2, 0, 1, 2]
+    # a fresh SeedSequence per encoder: the file does not record how many
+    # children a SeedSequence had spawned before the encoder drew its own
+    def ss():
+        return np.random.SeedSequence(31).spawn(2)[1]
+
+    encoders = {
+        "identity": (IdentityEncoder(p=5), feats, "centroid", "inverse_euclidean"),
+        "binary_image": (BinaryImageEncoder(p=12, d=40, seed=7), pixels, "binarized", "cosine_normalized"),
+        "quantized_features": (
+            QuantizedFeatureEncoder(p=5, d=40, levels=4, seed=ss()).fit(feats), feats, "binarized", "cosine_normalized"
+        ),
+        "trigram_text": (TrigramTextEncoder(d=40, seed=9), texts, "l2_normalized_real", "cosine_normalized"),
+        "temporal_fpe": (
+            TemporalFpeEncoder(p=3, d=40, t_max=4, beta=0.5, seed=ss()), trials, "raw_complex", "complex_cosine"
+        ),
+    }
+    return {name: (train_prototypes(X, y, enc, style, kind), X) for name, (enc, X, style, kind) in encoders.items()}
+
+
+#: the ``meta`` record save_model wrote for each of _fixed_models() before the
+#: encoders' saved forms moved into one table; the bytes must not change
+_HEAD = '{"format": "conformal-hdc-model/1", "similarity_kind": '
+_SEEDSEQ = '"seed": {"kind": "seedseq", "entropy": 31, "spawn_key": [1]}'
+MODEL_META = {
+    "identity": _HEAD + '"inverse_euclidean", "style": "centroid", "labels": [0, 1, 2], '
+    '"encoder": {"type": "identity", "p": 5}}',
+    "binary_image": _HEAD + '"cosine_normalized", "style": "binarized", "labels": [0, 1, 2], '
+    '"encoder": {"type": "binary_image", "p": 12, "d": 40, "seed": {"kind": "int", "value": 7}}}',
+    "quantized_features": _HEAD + '"cosine_normalized", "style": "binarized", "labels": [0, 1, 2], '
+    '"encoder": {"type": "quantized_features", "p": 5, "d": 40, "levels": 4, ' + _SEEDSEQ + "}}",
+    "trigram_text": _HEAD + '"cosine_normalized", "style": "l2_normalized_real", "labels": [0, 1, 2], '
+    '"encoder": {"type": "trigram_text", "d": 40, "seed": {"kind": "int", "value": 9}}}',
+    "temporal_fpe": _HEAD + '"complex_cosine", "style": "raw_complex", "labels": [0, 1, 2], '
+    '"encoder": {"type": "temporal_fpe", "p": 3, "d": 40, "t_max": 4, "beta": 0.5, ' + _SEEDSEQ + "}}",
+}
+#: SHA-256 of the int8 codes that the reloaded encoders give their fixed
+#: inputs, taken on the same tree; integer codes do not depend on the BLAS
+RELOADED_CODES_SHA256 = {
+    "binary_image": "647f6eb56cdbdb8fca66633170020b965664791877d0654e1f9cabdce76f3d53",
+    "quantized_features": "f0dc0da18e37234717dcfb60f4f670243dcd149fe1bb061be8fedaa61993bb84",
+    "trigram_text": "57440a9242161381b10c1331b2c9ade9d88dee4add672197bcf58886a1db0a7b",
+}
+
+
+class TestModelFileFormat:
+    @pytest.mark.parametrize("name", list(MODEL_META))
+    def test_saved_meta_unchanged_and_reloaded_codes_equal(self, tmp_path, name):
+        model, X = _fixed_models()[name]
+        save_model(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            assert str(data["meta"]) == MODEL_META[name]
+            grid = ["grid_maxs", "grid_mins"] if name == "quantized_features" else []
+            assert sorted(data.files) == grid + ["meta", "prototypes"]
+        codes = load_model(tmp_path / "m.npz").encoder.encode_batch(X)
+        np.testing.assert_array_equal(codes, model.encoder.encode_batch(X))
+        if name in RELOADED_CODES_SHA256:
+            assert codes.dtype == np.int8
+            assert hashlib.sha256(codes.tobytes()).hexdigest() == RELOADED_CODES_SHA256[name]
+
+
+def _edited_encoder_record(path, edit):
+    """Rewrite the encoder record of the model file at ``path`` with ``edit(record)``."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    edit(meta["encoder"])
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+class TestEncoderRecordChecked:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.update(type="wavelet"), "unknown encoder type 'wavelet'"),
+            (lambda r: r.pop("type"), "unknown encoder type None"),
+            (lambda r: r.pop("levels"), "takes the arguments"),
+            (lambda r: r.pop("seed"), "takes the arguments"),
+            (lambda r: r.update(beta=0.3), "takes the arguments"),
+        ],
+        ids=["unknown-type", "no-type", "missing-levels", "missing-seed", "extra-argument"],
+    )
+    def test_bad_record_raises_value_error(self, tmp_path, edit, message):
+        model, _ = _fixed_models()["quantized_features"]
+        save_model(model, tmp_path / "m.npz")
+        _edited_encoder_record(tmp_path / "m.npz", edit)
+        with pytest.raises(ValueError, match=message):
+            load_model(tmp_path / "m.npz")
+
+    def test_unfitted_grid_of_earlier_files_loads(self, tmp_path):
+        # earlier files saved an unfitted quantized encoder with null grid bounds
+        enc = QuantizedFeatureEncoder(p=2, d=16, levels=3, seed=1)
+        model = TrainedModel(enc, np.ones((2, 16), dtype=np.int8), "cosine_normalized", "binarized", np.arange(2))
+        save_model(model, tmp_path / "m.npz")
+        _edited_encoder_record(tmp_path / "m.npz", lambda r: r.update(grid_mins=None, grid_maxs=None))
+        loaded = load_model(tmp_path / "m.npz").encoder
+        assert loaded.grid is None and (loaded.p, loaded.d, loaded.levels) == (2, 16, 3)
+
+    def test_encoder_outside_the_table_not_saved(self, tmp_path):
+        class Scaled(IdentityEncoder):
+            def encode_batch(self, X):
+                return 2.0 * super().encode_batch(X)
+
+        model = train_prototypes(np.eye(3), [0, 1, 2], Scaled(p=3), "centroid", "inverse_euclidean")
+        with pytest.raises(ValueError, match="encoder of class Scaled"):
+            save_model(model, tmp_path / "m.npz")
+        assert not (tmp_path / "m.npz").exists()
+
+
 class TestDeletedHammingKind:
     def test_bipolar_model_loads_as_cosine(self, tmp_path):
         # 1 - (mismatches)/d equals (cos + 1)/2 on bipolar codes, so a file
@@ -208,7 +326,8 @@ class TestCalibratorRoundTrip:
         calib = Calibrator(q_hat=-0.123456789, alpha=0.05, counts=400)
         save_calibrator(calib, tmp_path / "c.json", metadata={"score_kind": "discount"})
         loaded = load_calibrator(tmp_path / "c.json")
-        assert loaded == calib
+        assert (loaded.alpha, loaded.per_label) == (calib.alpha, calib.per_label)
+        assert loaded.q_hat.tobytes() == calib.q_hat.tobytes() and loaded.counts.tobytes() == calib.counts.tobytes()
 
     def test_conditional_with_infinite_thresholds(self, tmp_path):
         calib = Calibrator(

@@ -58,15 +58,71 @@ __all__ = [
 SCORE_KINDS = ("similarity", "ratio", "discount", "penalized", "inverse_quantile")
 
 
+#: Rows per class column from which the class-axis helpers below fold one
+#: column at a time instead of calling numpy's reduction over the last axis.
+_FOLD_ROWS = 64
+
+
+def _folds(a: np.ndarray) -> bool:
+    """Whether the (..., K) array ``a`` has at least ``_FOLD_ROWS`` rows per class column.
+
+    Below that (one input's (1, K) scores, say), numpy's reduction over the
+    last axis is faster: its fixed cost per call is lower. From there on one
+    ufunc call per class column is faster: numpy's reduction over a short
+    contiguous axis costs far more per element. An empty class axis goes to
+    numpy, which raises where a ufunc has no identity.
+    """
+    return a.shape[-1] > 0 and a.size >= _FOLD_ROWS * a.shape[-1]
+
+
+def _fold_classes(ufunc, a: np.ndarray, dtype=None) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1, dtype=dtype)``, for an array ``a`` of shape (..., K).
+
+    From 64 rows per class column on (:func:`_folds`), the ufunc folds the
+    K columns one call at a time. ``np.minimum``, ``np.maximum``,
+    ``np.logical_or`` and an int ``np.add`` fold to numpy's values, except
+    that a min or max over a tie of -0.0 and +0.0 may keep the other sign.
+    """
+    if not _folds(a):
+        return ufunc.reduce(a, axis=-1, dtype=dtype)
+    out = a[..., 0].astype(a.dtype if dtype is None else dtype)
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
+
+
+def _argmin_classes(a: np.ndarray) -> np.ndarray:
+    """``np.argmin(a, axis=-1)``: a tie goes to its smallest index and a row with NaNs to its first.
+
+    From 64 rows per class column on (:func:`_folds`), it folds the K
+    columns one at a time.
+    """
+    if not _folds(a):
+        return np.argmin(a, axis=-1)
+    low = a[..., 0].copy()
+    picks = np.zeros(low.shape, dtype=np.intp)
+    for k in range(1, a.shape[-1]):
+        column = a[..., k]
+        np.copyto(picks, k, where=column < low)
+        np.minimum(low, column, out=low)
+    # the strict < never picks a NaN; np.minimum carries one into ``low``
+    nan = low != low
+    if nan.any():
+        picks[nan] = np.argmin(a[nan], axis=-1)
+    return picks
+
+
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    return _softmax_in_place(np.array(z, dtype=np.float64), axis)
+    e = np.array(z, dtype=np.float64)
+    _softmax_in_place(np.moveaxis(e, axis, -1))
+    return e
 
 
-def _softmax_in_place(e: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax of the float64 array ``e`` along ``axis``, written over ``e``."""
-    e -= e.max(axis=axis, keepdims=True)
+def _softmax_in_place(e: np.ndarray) -> np.ndarray:
+    """Softmax of the float64 array ``e`` along its last axis, written over ``e``."""
+    e -= _fold_classes(np.maximum, e)[..., None]
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -124,7 +180,7 @@ def _inverse_quantile_matrix(
     if ((u < 0.0) | (u > 1.0)).any():
         raise ValueError("uniform draws must lie in [0, 1]")
 
-    pi = _softmax_in_place(profiles / temperature, axis=1)
+    pi = _softmax_in_place(profiles / temperature)
     # Stable argsort on -pi orders each row by descending probability with
     # ties broken toward the smaller label index.
     order = np.argsort(-pi, axis=1, kind="stable")
@@ -298,19 +354,21 @@ def point_labels_from_sets(
     ``include`` and ``scores`` are (..., n, K) of one shape; the result is
     (..., n). Rows with an empty set either stay empty (-1) or fall back to
     the overall argmin score when ``allow_empty`` is false. Ties break
-    toward the smallest label index.
+    toward the smallest label index. From 64 rows per class column on, the
+    argmins and the empty-set test fold the K columns one at a time
+    (``_fold_classes``); the picks equal numpy's argmin's either way.
     """
     include = np.atleast_2d(include)
     scores = np.atleast_2d(scores)
     if include.shape != scores.shape:
         raise ValueError(f"include {include.shape} and scores {scores.shape} differ in shape")
     masked = np.where(include, scores, np.inf)
-    picks = np.argmin(masked, axis=-1)
-    empty = ~include.any(axis=-1)
+    picks = _argmin_classes(masked)
+    empty = ~_fold_classes(np.logical_or, include, bool)
     if allow_empty:
         picks = np.where(empty, -1, picks)
     else:
-        fallback = np.argmin(scores, axis=-1)
+        fallback = _argmin_classes(scores)
         picks = np.where(empty, fallback, picks)
     return picks
 
@@ -408,9 +466,11 @@ def ood_scores(score_mat: np.ndarray) -> np.ndarray:
 
     Larger values mean no class conforms; abstention triggers exactly when
     this minimum exceeds every governing threshold. ``score_mat`` is
-    (..., n, K); the result is (..., n).
+    (..., n, K); the result is (..., n). From 64 rows per class column on,
+    the minimum folds the K columns one at a time (``_fold_classes``), so a
+    tie of -0.0 and +0.0 may give either sign of zero.
     """
-    return np.atleast_2d(score_mat).min(axis=-1)
+    return _fold_classes(np.minimum, np.atleast_2d(score_mat))
 
 
 def ood_score(

@@ -99,8 +99,10 @@ _UNIT_PHASORS = _unit_phasor_table()
 
 
 def _spawn_seeds(seed, n: int):
+    # A SeedSequence's children depend on how many it spawned before, which
+    # a saved model does not record: spawn from a fresh copy of its state.
     if isinstance(seed, np.random.SeedSequence):
-        return seed.spawn(n)
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size).spawn(n)
     return np.random.SeedSequence(seed).spawn(n)
 
 

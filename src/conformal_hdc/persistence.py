@@ -42,6 +42,8 @@ _ENCODERS = {
     "temporal_fpe": (TemporalFpeEncoder, ("p", "d", "t_max", "beta", "seed")),
 }
 _TYPE_NAMES = {cls: name for name, (cls, _) in _ENCODERS.items()}
+#: the pool_size of a SeedSequence that load_model rebuilds: numpy's default
+_POOL_SIZE = 4
 
 
 def _seed_to_json(seed):
@@ -50,6 +52,11 @@ def _seed_to_json(seed):
     if isinstance(seed, (int, np.integer)):
         return {"kind": "int", "value": int(seed)}
     if isinstance(seed, np.random.SeedSequence):
+        if seed.pool_size != _POOL_SIZE:
+            raise ValueError(
+                f"cannot save a SeedSequence with pool_size {seed.pool_size}: "
+                f"the model file records SeedSequences of the default pool_size {_POOL_SIZE} only"
+            )
         entropy = seed.entropy
         if isinstance(entropy, (tuple, list)):
             entropy = [int(e) for e in entropy]

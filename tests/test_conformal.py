@@ -12,6 +12,8 @@ from conformal_hdc.classifier import train_prototypes
 from conformal_hdc.conformal import (
     SCORE_KINDS,
     Calibrator,
+    _argmin_classes,
+    _fold_classes,
     calibrate_conditional,
     calibrate_marginal,
     calibration_scores,
@@ -522,6 +524,55 @@ class TestLeadingAxes:
         assert got.shape == scores.shape[:2]
         for s, g in zip(scores, got):
             np.testing.assert_array_equal(g, ood_scores(s))
+
+
+class TestClassAxisHelpers:
+    """The column-by-column folds over the class axis equal numpy's reductions."""
+
+    # ties, both signs of zero and the +inf that masks a label out of a set
+    VALUES = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, np.inf])
+
+    @given(
+        st.lists(st.integers(1, 3), max_size=2),
+        st.integers(1, 150),
+        st.sampled_from([1, 2, 3, 7, 8, 26]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_folds_equal_numpy(self, leading, n, n_classes, seed):
+        # leading x n rows per class column fall on both sides of the 64-row rule
+        rng = np.random.default_rng(seed)
+        shape = (*leading, n, n_classes)
+        a = rng.choice(self.VALUES, size=shape)
+        include = rng.random(shape) < rng.choice([0.0, 0.2, 1.0])
+        for got, want in [
+            (_fold_classes(np.minimum, a), a.min(axis=-1)),
+            (_fold_classes(np.maximum, a), a.max(axis=-1)),
+            (_fold_classes(np.logical_or, include), include.any(axis=-1)),
+            (_fold_classes(np.add, include, np.int64), include.sum(axis=-1)),
+            (_argmin_classes(a), np.argmin(a, axis=-1)),
+            (_argmin_classes(np.where(include, a, np.inf)), np.argmin(np.where(include, a, np.inf), axis=-1)),
+        ]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_argmin_takes_a_rows_first_nan(self, n):
+        a = np.zeros((n, 4))
+        a[:, 1], a[:, 3] = np.nan, -1.0
+        a[0, 1], a[1, 2] = 0.0, np.nan
+        np.testing.assert_array_equal(_argmin_classes(a), np.argmin(a, axis=-1))
+
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_empty_class_axis(self, n):
+        a = np.zeros((n, 0))
+        for ufunc in (np.minimum, np.maximum):
+            with pytest.raises(ValueError):
+                _fold_classes(ufunc, a)
+        with pytest.raises(ValueError):
+            _argmin_classes(a)
+        np.testing.assert_array_equal(_fold_classes(np.logical_or, a.astype(bool)), np.zeros(n, dtype=bool))
+        np.testing.assert_array_equal(_fold_classes(np.add, a.astype(bool), np.int64), np.zeros(n, dtype=np.int64))
 
 
 class TestShapeErrors:

@@ -25,6 +25,7 @@ from conformal_hdc.evaluation import (
     ExperimentConfig,
     Recipe,
     SplitSpec,
+    _abstention_auc,
     average_set_size,
     empirical_coverage,
     ood_auc,
@@ -217,6 +218,20 @@ class TestMetrics:
     def test_auc_bit_identical_to_unique_midranks(self, inl, ood):
         inl, ood = np.asarray(inl) / 3.0, np.asarray(ood) / 3.0
         assert ood_auc(inl, ood) == _reference_ood_auc(inl, ood)
+
+    @given(
+        st.integers(1, 3), st.integers(1, 4), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_counted_abstention_auc_bit_identical(self, kinds, groups, n_in, n_ood, seed):
+        rng = np.random.default_rng(seed)
+        # each (kind, repetition) row abstains on none, some or all of its inputs
+        rates = rng.choice([0.0, 0.3, 1.0], size=(2, kinds, groups, 1))
+        test_abstain = rng.random((kinds, groups, n_in)) < rates[0]
+        ood_abstain = rng.random((kinds, groups, n_ood)) < rates[1]
+        got = _abstention_auc(test_abstain, ood_abstain)
+        want = ood_auc(test_abstain.astype(np.float64), ood_abstain.astype(np.float64))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     # coarse grid keeps exp strictly increasing in float precision
     grid = st.integers(-5000, 5000).map(lambda i: i / 1000.0)

@@ -134,28 +134,31 @@ def _renamed_kind(model, path, kind):
     np.savez(path, **arrays)
 
 
-def _fixed_models():
-    """One small model per encoder type, with int and SeedSequence seeds, and the inputs it encodes."""
+def _fixed_models(seed=None):
+    """One small model per encoder type, and the inputs it encodes.
+
+    The encoders take int and SeedSequence seeds, or ``seed`` each.
+    """
     rng = np.random.default_rng(21)
     feats = rng.normal(size=(6, 5))
     pixels = (rng.uniform(size=(6, 12)) > 0.5).astype(np.uint8)
     texts = ["abc def", "the cat", "zebra yak", "hello there", "a b c", "xyz"]
     trials = rng.poisson(0.7, size=(6, 3, 4)).astype(float)
     y = [0, 1, 2, 0, 1, 2]
-    # a fresh SeedSequence per encoder: the file does not record how many
-    # children a SeedSequence had spawned before the encoder drew its own
-    def ss():
-        return np.random.SeedSequence(31).spawn(2)[1]
+    # one SeedSequence for both encoders that spawn their tables' seeds: each
+    # spawns from a fresh copy of it, so neither changes what the other draws
+    seeds = (7, np.random.SeedSequence(31).spawn(2)[1], 9) if seed is None else (seed,) * 3
 
     encoders = {
         "identity": (IdentityEncoder(p=5), feats, "centroid", "inverse_euclidean"),
-        "binary_image": (BinaryImageEncoder(p=12, d=40, seed=7), pixels, "binarized", "cosine_normalized"),
+        "binary_image": (BinaryImageEncoder(p=12, d=40, seed=seeds[0]), pixels, "binarized", "cosine_normalized"),
         "quantized_features": (
-            QuantizedFeatureEncoder(p=5, d=40, levels=4, seed=ss()).fit(feats), feats, "binarized", "cosine_normalized"
+            QuantizedFeatureEncoder(p=5, d=40, levels=4, seed=seeds[1]).fit(feats), feats, "binarized",
+            "cosine_normalized",
         ),
-        "trigram_text": (TrigramTextEncoder(d=40, seed=9), texts, "l2_normalized_real", "cosine_normalized"),
+        "trigram_text": (TrigramTextEncoder(d=40, seed=seeds[2]), texts, "l2_normalized_real", "cosine_normalized"),
         "temporal_fpe": (
-            TemporalFpeEncoder(p=3, d=40, t_max=4, beta=0.5, seed=ss()), trials, "raw_complex", "complex_cosine"
+            TemporalFpeEncoder(p=3, d=40, t_max=4, beta=0.5, seed=seeds[1]), trials, "raw_complex", "complex_cosine"
         ),
     }
     return {name: (train_prototypes(X, y, enc, style, kind), X) for name, (enc, X, style, kind) in encoders.items()}
@@ -247,6 +250,35 @@ class TestEncoderRecordChecked:
 
         model = train_prototypes(np.eye(3), [0, 1, 2], Scaled(p=3), "centroid", "inverse_euclidean")
         with pytest.raises(ValueError, match="encoder of class Scaled"):
+            save_model(model, tmp_path / "m.npz")
+        assert not (tmp_path / "m.npz").exists()
+
+
+class TestSeedSequenceSeeds:
+    @pytest.mark.parametrize("name", ["quantized_features", "temporal_fpe"])
+    @pytest.mark.parametrize("spawned", [1, 3])
+    def test_seed_that_spawned_before_reloads_equal_codes(self, tmp_path, name, spawned):
+        # the file records the entropy and spawn key, not how many children were spawned
+        seed = np.random.SeedSequence(5)
+        seed.spawn(spawned)
+        model, X = _fixed_models(seed)[name]
+        loaded = roundtrip(model, tmp_path / "m.npz")
+        np.testing.assert_array_equal(loaded.encoder.encode_batch(X), model.encoder.encode_batch(X))
+        np.testing.assert_array_equal(loaded.similarity_profiles(X), model.similarity_profiles(X))
+
+    def test_one_seed_sequence_draws_equal_tables(self):
+        # as two encoders built from one int seed do
+        seed = np.random.SeedSequence(5)
+        first, second = (QuantizedFeatureEncoder(p=4, d=64, levels=5, seed=seed) for _ in range(2))
+        np.testing.assert_array_equal(first.im.vectors, second.im.vectors)
+        np.testing.assert_array_equal(first.lm.vectors, second.lm.vectors)
+        assert seed.n_children_spawned == 0
+
+    @pytest.mark.parametrize("name", ["binary_image", "quantized_features", "trigram_text", "temporal_fpe"])
+    def test_other_pool_size_not_saved(self, tmp_path, name):
+        # load_model would rebuild the seed with the default pool_size, 4, and draw other tables
+        model, _ = _fixed_models(np.random.SeedSequence(5, pool_size=8))[name]
+        with pytest.raises(ValueError, match="pool_size 8"):
             save_model(model, tmp_path / "m.npz")
         assert not (tmp_path / "m.npz").exists()
 

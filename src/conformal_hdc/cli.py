@@ -198,7 +198,7 @@ def write_results(result: ExperimentResult, out_dir, provenance: dict | None = N
 
     extras = {}
     for m in result.methods:
-        entry = {"empty_rate": m.empty_rate, "ood_empty_rate": m.ood_empty_rate}
+        entry = {"empty_rate": m.empty_rate, "ood_empty_rate": m.ood_empty_rate, "minscore_auc": m.minscore_auc}
         if m.label_coverage is not None:
             entry["label_coverage"] = [float(v) for v in m.label_coverage]
         extras[m.method] = entry

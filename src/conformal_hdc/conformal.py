@@ -387,25 +387,17 @@ def predict_sets(
 
     Label k enters row i's set iff its score is at or below
     ``calibrator.thresholds(K)[k]``, so one call serves the marginal and
-    the label-conditional calibrator. The randomized ``inverse_quantile``
-    kind needs one uniform draw per row in ``u``.
+    the label-conditional calibrator; a calibrator that holds several
+    calibrations (thresholds other than (K,)) raises ValueError. The
+    randomized ``inverse_quantile`` kind needs one uniform draw per row in
+    ``u``.
     """
     profiles = model.similarity_profiles(X)
     scores = score_matrix(profiles, kind, lam=lam, temperature=temperature, u=u)
-    return sets_from_scores(scores, calibrator.thresholds(scores.shape[1])), scores
-
-
-def _score_one(model, x, kind: str, lam: float, temperature: float, u) -> np.ndarray:
-    """(1, K) scores of one input, profiled and scored as a batch of one."""
-    profiles = model.similarity_profiles(model._as_batch(x))
-    u = None if u is None else np.array([u], dtype=np.float64)
-    return score_matrix(profiles, kind, lam=lam, temperature=temperature, u=u)
-
-
-def _predict_one(model, calibrator, x, kind: str, lam: float, temperature: float, u):
-    """One input's (1, K) inclusion and scores, as :func:`predict_sets` gives a batch's."""
-    scores = _score_one(model, x, kind, lam, temperature, u)
-    return sets_from_scores(scores, calibrator.thresholds(scores.shape[1])), scores
+    thresholds = calibrator.thresholds(scores.shape[1])
+    if thresholds.shape != scores.shape[1:]:
+        raise ValueError(f"calibrator holds thresholds {thresholds.shape}, not one calibration's {scores.shape[1:]}")
+    return sets_from_scores(scores, thresholds), scores
 
 
 def predict_set_marginal(
@@ -419,7 +411,7 @@ def predict_set_marginal(
     u: float | None = None,
 ) -> PredictionSet:
     """Labels of one input whose nonconformity is at or below the marginal threshold."""
-    include, scores = _predict_one(model, calibrator, x, kind, lam, temperature, u)
+    include, scores = predict_sets(model, calibrator, model._as_batch(x), kind, lam=lam, temperature=temperature, u=u)
     return PredictionSet(labels=np.flatnonzero(include[0]), scores=scores[0])
 
 
@@ -434,7 +426,7 @@ def predict_set_conditional(
     u: float | None = None,
 ) -> PredictionSet:
     """Labels of one input whose nonconformity is at or below their per-label threshold."""
-    include, scores = _predict_one(model, calibrator, x, kind, lam, temperature, u)
+    include, scores = predict_sets(model, calibrator, model._as_batch(x), kind, lam=lam, temperature=temperature, u=u)
     return PredictionSet(labels=np.flatnonzero(include[0]), scores=scores[0])
 
 
@@ -456,7 +448,7 @@ def predict_point(
     when ``allow_empty`` is set and otherwise falls back to the overall
     argmin score.
     """
-    include, scores = _predict_one(model, calibrator, x, kind, lam, temperature, u)
+    include, scores = predict_sets(model, calibrator, model._as_batch(x), kind, lam=lam, temperature=temperature, u=u)
     pick = point_labels_from_sets(include, scores, allow_empty)[0]
     return PredictionSet(labels=[] if pick < 0 else [pick], scores=scores[0])
 
@@ -483,4 +475,5 @@ def ood_score(
     u: float | None = None,
 ) -> float:
     """Anomaly statistic for one input: min over labels of its score."""
-    return float(ood_scores(_score_one(model, x, kind, lam, temperature, u))[0])
+    profiles = model.similarity_profiles(model._as_batch(x))
+    return float(ood_scores(score_matrix(profiles, kind, lam=lam, temperature=temperature, u=u))[0])

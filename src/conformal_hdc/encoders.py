@@ -12,11 +12,12 @@ for feature-space experiments:
   bound to a rotated positional phasor and superposed.
 
 Every encoder is deterministic given its seed and immutable once fitted,
-so encoding calls are pure and may run concurrently. The temporal
-encoder's kernel spreads a batch's row blocks over the CPUs in the
-process's affinity mask, one worker each (``taskset`` limits them) up to a
-fixed budget of buffer memory; its codes are bit for bit the same for any
-number of workers.
+so encoding calls are pure and may run concurrently. When BLAS runs one
+thread (the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+OMP_NUM_THREADS that is set is 1), the temporal encoder's kernel spreads a
+batch's row blocks over the CPUs in the process's affinity mask (``taskset``
+limits them) up to a fixed budget of buffer memory, and otherwise runs them
+on the calling thread; its codes are bit for bit the same either way.
 """
 
 from __future__ import annotations
@@ -431,39 +432,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: Workers of the FPE kernel, the calling thread included; ``taskset`` limits them.
-_WORKERS = _usable_cpus()
+def _blas_runs_one_thread(environ) -> bool:
+    """Whether OpenBLAS runs one thread in a process started with ``environ``.
+
+    It takes its count from the first of the variables below whose value C's
+    atoi reads as positive; with none, it runs one thread per CPU.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        match = re.match(r"\s*([+-]?\d+)", environ.get(name, ""))
+        if match and int(match[1]) > 0:
+            return int(match[1]) == 1
+    return False
+
+
+#: Workers of the FPE kernel, the calling thread included (``_fpe_superpose``).
+_WORKERS = _usable_cpus() if _blas_runs_one_thread(os.environ) else 1
 #: Bytes of worker buffers one kernel call may hold, whatever the CPU count:
 #: four workers of the spike workload's shape (d = 10000, 3.85 MB each).
 _KERNEL_BYTES = 16 * 2**20
 
 
-class _Blocks:
-    """The start rows of one call's blocks, handed to whichever worker asks next; none after an error."""
-
-    def __init__(self, n: int, rows: int) -> None:
-        self._starts = iter(range(0, n, rows))
-        self._lock = threading.Lock()
-        self.error: BaseException | None = None
-
-    def next(self) -> int | None:
-        with self._lock:
-            return next(self._starts, None)
-
-    def fail(self, error: BaseException) -> None:
-        with self._lock:
-            self._starts = iter(())
-            if self.error is None:
-                self.error = error
-
-
-def _fpe_worker(X: np.ndarray, A: np.ndarray, out: np.ndarray, buffers, blocks: _Blocks) -> None:
-    """Encode the blocks that ``blocks`` hands out into their rows of ``out``, with one worker's buffers."""
+def _fpe_blocks(X: np.ndarray, A: np.ndarray, out: np.ndarray, buffers, starts, stop: threading.Event) -> None:
+    """Encode the blocks whose start rows ``starts`` hands out, until ``stop`` is set; an error sets it."""
     left, phase_buf, work_buf, index_buf, terms_buf = buffers
     n, p, t = X.shape
     rows, width, d = left.shape[1], A.shape[1], out.shape[1]
     try:
-        while (start := blocks.next()) is not None:
+        for start in starts:
+            if stop.is_set():
+                return
             m = min(rows, n - start)
             left[:, :m, :p] = X[start : start + m].transpose(2, 0, 1)
             np.matmul(left.reshape(t * rows, p + t), A, out=phase_buf.reshape(t * rows, width))
@@ -471,8 +468,9 @@ def _fpe_worker(X: np.ndarray, A: np.ndarray, out: np.ndarray, buffers, blocks: 
             work, index, terms = work_buf[:, :m], index_buf[:m], terms_buf[:, :m]
             for j in range(t):
                 _add_unit_phasors(phase_buf[j, :m, :d], block, work, index, terms)
-    except BaseException as error:
-        blocks.fail(error)
+    except BaseException:
+        stop.set()
+        raise
 
 
 def _fpe_superpose(X: np.ndarray, factor: np.ndarray, d: int) -> np.ndarray:
@@ -490,19 +488,21 @@ def _fpe_superpose(X: np.ndarray, factor: np.ndarray, d: int) -> np.ndarray:
     phase is still a rounded sum of p + 1 nonzero terms. Each bin's unit
     phasors are then added into the output (``_add_unit_phasors``).
 
-    The blocks are spread over one worker per CPU in the process's affinity
-    mask (``taskset`` limits them), at most one per block and at most as many
-    as fit their buffers in ``_KERNEL_BYTES``: the calling thread and, past
-    one block, helper threads started for this call and joined before it
-    returns. Each worker takes the next block from a shared iterator, so a
-    slower core takes fewer blocks. A block is computed by the same
+    ``_WORKERS``, read at import, is one worker per CPU in the process's
+    affinity mask (``taskset`` limits them) when BLAS runs one thread (the
+    first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that
+    is set is 1), and otherwise 1: a multi-threaded BLAS's threads compete
+    with the helpers, which then make the kernel slower than one worker. A
+    call uses at most one worker per block and as many as fit their buffers
+    in ``_KERNEL_BYTES``: the calling thread and, past one block, the
+    threads of a pool made for this call and shut down before it returns.
+    Each worker takes the next block start from a shared iterator, so a
+    slower core takes fewer blocks; a block is computed by the same
     operations whichever worker runs it, so the codes do not depend on the
     worker count. Every worker's buffers are allocated here, in the calling
     thread, so they come from its heap and not from a per-thread arena. An
     error in any worker stops the others at their next block; once all have
-    stopped, the first error is raised here. The workers gain only with one
-    BLAS thread: a multi-threaded OpenBLAS's threads compete with them, and
-    the kernel then runs slower than on one worker.
+    stopped, it is raised here.
 
     A row's phases must not depend on its place in the product, or a single
     input would encode unlike its row in a batch. So every product has the
@@ -535,22 +535,24 @@ def _fpe_superpose(X: np.ndarray, factor: np.ndarray, d: int) -> np.ndarray:
     left = buffers[0]
     left.fill(0.0)
     left[:, np.arange(t), :, p + np.arange(t)] = 1.0
-    blocks = _Blocks(n, rows)
-    helpers = []
-    try:
-        for w in range(1, workers):
-            helper = threading.Thread(
-                target=_fpe_worker, args=(X, A, out, [b[w] for b in buffers], blocks), name="conformal-hdc-fpe"
-            )
-            helper.start()
-            helpers.append(helper)
-    except BaseException as error:
-        blocks.fail(error)
-    _fpe_worker(X, A, out, [b[0] for b in buffers], blocks)
+    # imported here: concurrent.futures brings in logging, about 0.6 MB of
+    # resident memory that a process without the temporal encoder need not hold
+    from concurrent.futures import ThreadPoolExecutor
+
+    # under the GIL, next() on a range iterator hands each start to one thread
+    starts, stop = iter(range(0, n, rows)), threading.Event()
+    with ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="conformal-hdc-fpe") as pool:
+        try:
+            helpers = [
+                pool.submit(_fpe_blocks, X, A, out, [b[w] for b in buffers], starts, stop)
+                for w in range(1, workers)
+            ]
+        except BaseException:
+            stop.set()  # a helper that could not start stops those that did
+            raise
+        _fpe_blocks(X, A, out, [b[0] for b in buffers], starts, stop)
     for helper in helpers:
-        helper.join()
-    if blocks.error is not None:
-        raise blocks.error
+        helper.result()
     return out
 
 

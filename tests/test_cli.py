@@ -122,6 +122,17 @@ class TestMain:
             assert row["config_hash"] == payload["config_hash"]
             assert row["seed"] == "3"
 
+    def test_json_extras_carry_the_minscore_auc(self, tmp_path):
+        assert run_cli(["--dataset", "synthetic", "--reps", "3", "--seed", "7", "--out", str(tmp_path)]) == 0
+        extras = json.loads((tmp_path / "results.json").read_text())["extras"]
+        result = evaluation.run_experiment(build_config({"dataset": "synthetic", "reps": "3", "seed": "7"}))
+        assert sorted(extras) == sorted(m.method for m in result.methods)
+        for m in result.methods:
+            np.testing.assert_equal(extras[m.method]["minscore_auc"], m.minscore_auc)
+        # the hdc baseline has no score to take a minimum of; every conformal method has one
+        assert np.isnan(extras["hdc"]["minscore_auc"])
+        assert all(0.0 < e["minscore_auc"] <= 1.0 for method, e in extras.items() if method != "hdc")
+
     def test_summary_table_printed(self, tmp_path, capsys):
         run_cli(["--dataset", "synthetic", "--reps", "2", "--out", str(tmp_path)])
         out = capsys.readouterr().out

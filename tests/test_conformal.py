@@ -453,6 +453,22 @@ class TestPredictSets:
             predict_sets(model, calib, queries, "similarity")
 
 
+    def test_calibrator_of_several_calibrations_refused(self, fitted):
+        # three calibrations in one calibrator give three thresholds per label,
+        # so no one set is defined
+        model, X_cal, y_cal, _, queries = fitted
+        cal = calibration_scores(model.similarity_profiles(X_cal), y_cal, "similarity")
+        scores, labels = np.stack([cal, cal[::-1], cal]), np.stack([y_cal, y_cal[::-1], y_cal])
+        for calib in (calibrate_marginal(scores, 0.2), calibrate_conditional(scores, labels, 0.2, 3)):
+            assert calib.thresholds(3).shape == (3, 3)
+            with pytest.raises(ValueError, match="not one calibration's"):
+                predict_sets(model, calib, queries, "similarity")
+            for single in (predict_set_marginal, predict_set_conditional):
+                with pytest.raises(ValueError, match="not one calibration's"):
+                    single(model, calib, queries[0], "similarity")
+            with pytest.raises(ValueError, match="not one calibration's"):
+                predict_point(model, calib, queries[0], "similarity", allow_empty=True)
+
 class TestPointPrediction:
     def test_multi_member_set_keeps_argmin(self):
         model = _ProfileModel(np.array([0.8, 0.3, 0.5]))

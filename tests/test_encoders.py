@@ -1,13 +1,18 @@
 """Encoders: fixed-point examples, Monte-Carlo sanity, and determinism."""
 
+import functools
+import json
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -787,15 +792,15 @@ class TestFpeWorkers:
 
     @staticmethod
     def _count_workers(monkeypatch):
-        """Wrap the kernel's worker loop: count the workers each call runs."""
+        """Wrap the kernel's block loop: count the workers each call runs."""
         calls = []
-        worker = encoders._fpe_worker
+        worker = encoders._fpe_blocks
 
         def counted(*args):
             calls.append(threading.get_ident())
             worker(*args)
 
-        monkeypatch.setattr(encoders, "_fpe_worker", counted)
+        monkeypatch.setattr(encoders, "_fpe_blocks", counted)
         return calls
 
     # the spike workload's shape at d = 10000 (3-row blocks) and d = 2000
@@ -901,13 +906,15 @@ class TestFpeWorkers:
                 started.append(self)
                 super().start()
 
+        calls = self._count_phasor_calls(monkeypatch)
         enc = TemporalFpeEncoder(p=4, d=2_000, t_max=2, seed=44)
-        X = np.random.default_rng(44).normal(size=(10 * 16, 4, 2))
+        X = np.random.default_rng(44).normal(size=(10 * 16, 4, 2))  # 10 blocks, 20 calls
         monkeypatch.setattr(encoders.threading, "Thread", SecondFails)
         monkeypatch.setattr(encoders, "_WORKERS", 3)
         with pytest.raises(RuntimeError, match="^can't start new thread$"):
             enc.encode_batch(X)
         assert len(started) == 1 and not started[0].is_alive()
+        assert len(calls) < 20, "the helper that started kept taking blocks"
 
     def test_concurrent_callers_get_the_serial_codes(self, monkeypatch):
         # encoding calls are pure and may run concurrently, on one encoder too
@@ -963,6 +970,90 @@ class TestFpeWorkers:
             child.join()
             pytest.fail("the forked child did not finish its encoding within 30 s")
         assert child.exitcode == 0
+
+
+#: Environments of the worker rule, with whether OpenBLAS runs one thread in
+#: each: the first of OPENBLAS, GOTO and OMP that C's atoi reads as positive
+#: counts, and MKL_NUM_THREADS does not.
+_BLAS_ENVIRONMENTS = [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"GOTO_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"MKL_NUM_THREADS": "1"}, False),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "x", "GOTO_NUM_THREADS": "-1", "OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": " 1.5"}, True),
+    ({"OPENBLAS_NUM_THREADS": ""}, False),
+]
+
+#: Prints the rule's verdict, the kernel's workers, the usable CPUs and the
+#: thread count of the OpenBLAS that numpy loaded (null if none is found).
+_PROBE = """
+import ctypes, json, os
+import numpy
+from conformal_hdc import encoders
+
+def blas_threads():
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(w for w in maps.read().split() if "openblas" in os.path.basename(w))
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
+
+print(json.dumps({
+    "rule": encoders._blas_runs_one_thread(os.environ),
+    "workers": encoders._WORKERS,
+    "cpus": encoders._usable_cpus(),
+    "blas": blas_threads(),
+}))
+"""
+
+
+@functools.cache
+def _probe(env: tuple) -> dict:
+    """Run ``_PROBE`` in a fresh interpreter whose BLAS variables are exactly ``env``."""
+    environ = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    environ.update(env)
+    environ["PYTHONPATH"] = str(Path(encoders.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE], env=environ, capture_output=True, text=True, timeout=60, check=True
+    )
+    return json.loads(done.stdout)
+
+
+class TestFpeWorkerRule:
+    """Helper threads only when BLAS runs one thread, as numpy's OpenBLAS reads the environment."""
+
+    @pytest.mark.parametrize("env, one_thread", _BLAS_ENVIRONMENTS)
+    def test_rule_table(self, env, one_thread):
+        assert encoders._blas_runs_one_thread(env) is one_thread
+
+    @pytest.mark.parametrize("env, one_thread", _BLAS_ENVIRONMENTS)
+    def test_rule_agrees_with_the_loaded_openblas(self, env, one_thread):
+        probe = _probe(tuple(env.items()))
+        if probe["blas"] is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread count")
+        assert probe["rule"] is one_thread
+        if probe["cpus"] == 1:
+            # OpenBLAS runs one thread per usable CPU at most, and so does the kernel
+            assert probe["blas"] == 1 and probe["workers"] == 1
+        else:
+            assert (probe["blas"] == 1) is one_thread
+
+    def test_workers_one_unless_blas_is_pinned(self):
+        unpinned = _probe(())
+        assert unpinned["workers"] == 1
+        pinned = _probe((("OPENBLAS_NUM_THREADS", "1"),))
+        assert pinned["workers"] == pinned["cpus"]
 
 
 class TestIdentityEncoding:
